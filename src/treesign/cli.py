@@ -1,17 +1,20 @@
 """Command-line surface.
 
 Subcommands: solve (tree + signs + JSON report), verify (re-check a
-report against its graph), oracle (exhaustive small-graph validation),
-gen (graph family emission), bench (solver timing sweeps to CSV).
+report against its graph), oracle (exhaustive small-graph validation;
+``--n`` takes sizes such as ``5`` or ``2..5``), gen (graph family
+emission), bench (solver timing sweeps to CSV; ``--family`` takes a comma
+list such as ``path,cycle,complete``). Every bench row times one
+``solve()``, verification included.
 
 Exit codes: 0 success; 1 verification failure (verify); 2 unreadable or
 malformed input, bad arguments; 3 disconnected input graph; 4 internal
 verification failure; 5 falsification (a non-monotone fundamental path
-with no improving exchange — never expected).
+with no improving exchange, or a failed oracle check — never expected).
 
-Reports are canonical JSON: sorted keys, sorted edge lists, "\\n" line
-ends. Identical inputs give byte-identical reports except for the
-timing_ms field.
+Reports are canonical JSON (schema_version 2): sorted keys, sorted edge
+lists, "\\n" line ends. Identical inputs give byte-identical reports
+except for the timing_ms field.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 import time
@@ -41,18 +45,10 @@ from .graphs import (
     to_dot,
 )
 from .oracle import EnumerationLimitError, enumerate_connected_graphs, exhaustive_check
-from .solver import (
-    NoImprovingSwapError,
-    Sign,
-    SignLabeling,
-    SolveTrace,
-    assign_signs,
-    monotone_spanning_tree,
-    verify_alternating,
-)
+from .solver import NoImprovingSwapError, Sign, SignLabeling, Solution, solve, verify_alternating
 from .trees import DisconnectedGraphError, RootedTree, require_connected, tree_from_edges
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -124,28 +120,19 @@ def _failures_json(violations) -> list[dict]:
     ]
 
 
-def build_solve_report(
-    g: Graph,
-    root: int,
-    tree: RootedTree,
-    signs: SignLabeling,
-    trace: SolveTrace,
-    ok: bool,
-    failures: list[dict],
-    timing_ms: int,
-) -> dict:
+def build_solve_report(solution: Solution, timing_ms: int) -> dict:
+    tree, trace, verification = solution.tree, solution.trace, solution.verification
     return {
         "schema_version": SCHEMA_VERSION,
-        "input": {"n": g.n, "m": g.m, "root": root},
+        "input": {"n": tree.graph.n, "m": tree.graph.m, "root": tree.root},
         "tree": {
             "edges": [_edge_json(e) for e in tree.sorted_edges()],
             "depth": list(tree.depth),
         },
-        "signs": _signs_json(signs),
+        "signs": _signs_json(solution.signs),
         "trace": {
             "initial_psi": trace.initial_psi,
             "final_psi": trace.final_psi,
-            "cotree_scan_passes": trace.cotree_scan_passes,
             "moves": [
                 {
                     "add": _edge_json(m.added),
@@ -155,33 +142,23 @@ def build_solve_report(
                 for m in trace.moves
             ],
         },
-        "verification": {"ok": ok, "failures": failures},
+        "verification": {
+            "ok": verification.ok,
+            "failures": _failures_json(verification.violations),
+        },
         "timing_ms": timing_ms,
     }
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = read_graph(args.input, args.format)
-    require_connected(g)
     started = time.perf_counter()
-    tree, trace = monotone_spanning_tree(g, args.root)
-    signs = assign_signs(tree)
-    report = verify_alternating(g, tree, signs)
+    solution = solve(g, args.root)
     timing_ms = int((time.perf_counter() - started) * 1000)
-    doc = build_solve_report(
-        g,
-        args.root,
-        tree,
-        signs,
-        trace,
-        report.ok,
-        _failures_json(report.violations),
-        timing_ms,
-    )
-    _write_text(args.json, canonical_json(doc))
+    _write_text(args.json, canonical_json(build_solve_report(solution, timing_ms)))
     if args.dot is not None:
-        _write_text(args.dot, to_dot(g, tree, signs))
-    if not report.ok:
+        _write_text(args.dot, to_dot(g, solution.tree, solution.signs))
+    if not solution.verification.ok:
         print("internal error: produced labeling failed verification", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
@@ -204,8 +181,9 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
     """Rebuild (tree, signs, root) from a solve report against ``g``.
 
     Everything recomputable (depths) is recomputed; contract violations
-    (tree edges outside the graph, malformed keys, unknown signs) raise
-    ParseError.
+    (values of the wrong JSON type, tree edges outside the graph, malformed
+    keys, unknown signs) raise ParseError. JSON booleans are not integers
+    here, although Python treats them as such.
     """
     if not isinstance(doc, dict):
         raise ParseError("solution document must be a JSON object")
@@ -214,12 +192,21 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
         sign_rows = doc["signs"]
     except (KeyError, TypeError):
         raise ParseError("solution document needs tree.edges and signs") from None
-    root = doc.get("input", {}).get("root", 0)
-    if not isinstance(root, int) or not 0 <= root < max(g.n, 1):
+    if not isinstance(edge_rows, list):
+        raise ParseError("tree.edges must be a list of [u, v] pairs")
+    if not isinstance(sign_rows, dict):
+        raise ParseError("signs must be a JSON object")
+    inputs = doc.get("input", {})
+    if not isinstance(inputs, dict):
+        raise ParseError("input must be a JSON object")
+    root = inputs.get("root", 0)
+    if type(root) is not int or not 0 <= root < max(g.n, 1):
         raise ParseError(f"root {root!r} out of range")
     edges = []
     for row in edge_rows:
-        if not (isinstance(row, list) and len(row) == 2):
+        if not (
+            isinstance(row, list) and len(row) == 2 and type(row[0]) is int and type(row[1]) is int
+        ):
             raise ParseError(f"malformed tree edge {row!r}")
         edges.append((row[0], row[1]))
     try:
@@ -267,7 +254,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.input is None):
         raise ParseError("exactly one of --n and --input is required")
     if args.n is not None:
-        graphs = enumerate_connected_graphs(args.n)
+        # The list calls every size's generator now, so an unsupported size
+        # fails before any graph is checked.
+        graphs = itertools.chain(*[enumerate_connected_graphs(n) for n in parse_sizes(args.n)])
     else:
         g = read_graph(args.input, args.format)
         require_connected(g)
@@ -369,7 +358,8 @@ def parse_sizes(text: str) -> tuple[int, ...]:
 
 
 def run_bench(config: BenchConfig) -> tuple[list[tuple], int]:
-    """Solve and verify every instance; returns (rows, skipped count)."""
+    """Solve every instance, timing each solve() with its verification;
+    returns (rows, skipped count)."""
     rows: list[tuple] = []
     skipped = 0
     for size, seed, g in config.instances():
@@ -381,11 +371,11 @@ def run_bench(config: BenchConfig) -> tuple[list[tuple], int]:
             )
             continue
         started = time.perf_counter()
-        tree, trace = monotone_spanning_tree(g, 0)
-        signs = assign_signs(tree)
+        solution = solve(g)
         ms = int((time.perf_counter() - started) * 1000)
-        if not verify_alternating(g, tree, signs).ok:
+        if not solution.verification.ok:
             raise AssertionError(f"bench instance failed verification: {graph_key(g)}")
+        trace = solution.trace
         rows.append(
             (
                 config.family,
@@ -402,21 +392,19 @@ def run_bench(config: BenchConfig) -> tuple[list[tuple], int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.family not in BENCH_FAMILIES:
-        raise ParseError(
-            f"unknown bench family {args.family!r}; expected one of {', '.join(BENCH_FAMILIES)}"
-        )
-    config = BenchConfig(
-        family=args.family,
-        sizes=parse_sizes(args.sizes),
-        seeds=args.seeds,
-        p=args.p,
-    )
-    rows, _ = run_bench(config)
+    families = [family.strip() for family in args.family.split(",")]
+    for family in families:
+        if family not in BENCH_FAMILIES:
+            raise ParseError(
+                f"unknown bench family {family!r}; expected one of {', '.join(BENCH_FAMILIES)}"
+            )
+    sizes = parse_sizes(args.sizes)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
+    for family in families:
+        rows, _ = run_bench(BenchConfig(family, sizes, args.seeds, args.p))
+        writer.writerows(rows)
     _write_text(args.csv, buffer.getvalue())
     return EXIT_OK
 
@@ -444,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive checks on small graphs")
-    p_oracle.add_argument("--n", type=int, default=None, help="check all connected graphs on n vertices")
+    p_oracle.add_argument(
+        "--n", default=None, help="check all connected graphs on these vertex counts, e.g. 4 or 2..5"
+    )
     p_oracle.add_argument("--input", default=None, help="check a single graph file")
     p_oracle.add_argument("--root", type=int, default=0)
     p_oracle.add_argument("--format", choices=("edgelist", "dimacs"), default="edgelist")
@@ -459,8 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default=None, help="destination (default stdout)")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="timing sweep over a graph family, as CSV")
-    p_bench.add_argument("--family", required=True)
+    p_bench = sub.add_parser("bench", help="timing sweep over graph families, as CSV")
+    p_bench.add_argument(
+        "--family", required=True, help=f"comma list of: {', '.join(BENCH_FAMILIES)}"
+    )
     p_bench.add_argument("--sizes", required=True, help="e.g. 10,20,50 or 10..100")
     p_bench.add_argument("--seeds", type=int, default=1, help="gnp draws per size")
     p_bench.add_argument("--p", type=float, default=0.3, help="gnp edge probability")

@@ -10,10 +10,10 @@ failed check is serialized as a witness; none is expected to exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import Edge, Graph, Vertex, canonical_edge, graph_key, is_connected
-from .solver import solve, verify_alternating, verify_monotone
+from .solver import solve, verify_monotone
 from .trees import (
     RootedTree,
     cotree_edges,
@@ -147,19 +147,14 @@ def count_spanning_trees(g: Graph) -> int:
     return _integer_determinant(reduced)
 
 
-def max_potential_tree(
-    g: Graph, root: Vertex, max_trees: int = DEFAULT_TREE_CAP
-) -> tuple[RootedTree, int, int]:
-    """Potential-maximal spanning tree by exhaustive enumeration.
-
-    Returns the maximizer with the lexicographically least edge set among
-    ties, the maximal potential, and the number of trees attaining it.
-    """
+def _max_potential(trees: Iterable[RootedTree]) -> tuple[RootedTree, int, int]:
+    """max_potential_tree's result over one pass of ``trees``; exhaustive_check
+    feeds it the trees it checks, so the enumeration runs once."""
     best: RootedTree | None = None
     best_key: tuple[Edge, ...] | None = None
     best_psi = -1
     count = 0
-    for t in enumerate_spanning_trees(g, root, max_trees):
+    for t in trees:
         psi = potential(t)
         if psi > best_psi:
             best_psi = psi
@@ -174,6 +169,17 @@ def max_potential_tree(
                 best_key = key
     assert best is not None
     return best, best_psi, count
+
+
+def max_potential_tree(
+    g: Graph, root: Vertex, max_trees: int = DEFAULT_TREE_CAP
+) -> tuple[RootedTree, int, int]:
+    """Potential-maximal spanning tree by exhaustive enumeration.
+
+    Returns the maximizer with the lexicographically least edge set among
+    ties, the maximal potential, and the number of trees attaining it.
+    """
+    return _max_potential(enumerate_spanning_trees(g, root, max_trees))
 
 
 def _admits_improving_swap(t: RootedTree) -> bool:
@@ -258,38 +264,24 @@ def exhaustive_check(
     (d) the enumerated tree count equals the determinant count.
     """
     witness: dict | None = None
-
     tree_count = 0
-    best: RootedTree | None = None
-    best_key: tuple[Edge, ...] | None = None
-    best_psi = -1
-    max_count = 0
     all_local_maxima_conform = True
 
-    for t in enumerate_spanning_trees(g, root, max_trees):
-        tree_count += 1
-        psi = potential(t)
-        if not verify_monotone(g, t).ok and not _admits_improving_swap(t):
-            all_local_maxima_conform = False
-            if witness is None:
-                witness = _tree_witness(
-                    t,
-                    "local_max_conforms",
-                    "non-monotone tree admitting no improving exchange",
-                )
-        if psi > best_psi:
-            best_psi = psi
-            max_count = 1
-            best = t
-            best_key = t.sorted_edges()
-        elif psi == best_psi:
-            max_count += 1
-            key = t.sorted_edges()
-            if best_key is None or key < best_key:
-                best = t
-                best_key = key
+    def each_tree() -> Iterator[RootedTree]:
+        nonlocal witness, tree_count, all_local_maxima_conform
+        for t in enumerate_spanning_trees(g, root, max_trees):
+            tree_count += 1
+            if not verify_monotone(g, t).ok and not _admits_improving_swap(t):
+                all_local_maxima_conform = False
+                if witness is None:
+                    witness = _tree_witness(
+                        t,
+                        "local_max_conforms",
+                        "non-monotone tree admitting no improving exchange",
+                    )
+            yield t
 
-    assert best is not None
+    best, best_psi, max_count = _max_potential(each_tree())
     kirchhoff = count_spanning_trees(g)
     global_max_conforms = verify_monotone(g, best).ok
     if not global_max_conforms and witness is None:
@@ -298,7 +290,7 @@ def exhaustive_check(
         )
 
     solution = solve(g, root)
-    solve_agrees = verify_alternating(g, solution.tree, solution.signs).ok
+    solve_agrees = solution.verification.ok
     if not solve_agrees and witness is None:
         witness = _tree_witness(
             solution.tree, "solve_agrees", "solver output failed the alternation verifier"
@@ -319,14 +311,15 @@ def exhaustive_check(
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
-    """Yield every labeled simple connected graph on ``n`` vertices once,
-    by filtering all edge subsets of the complete graph. Guarded to n <= 6
-    (the subset count doubles per potential edge)."""
+    """Every labeled simple connected graph on ``n`` vertices once, by
+    filtering all edge subsets of the complete graph. Guarded to n <= 6
+    (the subset count doubles per potential edge); the guard raises on the
+    call, before any graph is produced."""
     if not 1 <= n <= 6:
         raise ValueError(f"n={n} out of supported range 1..6")
     all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(all_edges)):
-        edges = tuple(e for i, e in enumerate(all_edges) if mask >> i & 1)
-        g = Graph(n, edges)
-        if is_connected(g):
-            yield g
+    subsets = (
+        Graph(n, tuple(e for i, e in enumerate(all_edges) if mask >> i & 1))
+        for mask in range(1 << len(all_edges))
+    )
+    return (g for g in subsets if is_connected(g))

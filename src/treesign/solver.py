@@ -170,14 +170,13 @@ def find_improving_swap(t: RootedTree, e: Edge) -> SwapMove:
 class SolveTrace:
     """Record of one local-search run.
 
-    final_psi = initial_psi + the sum of the moves' gains, every gain is
-    at least 1, and cotree_scan_passes counts scan restarts (moves + 1).
+    final_psi = initial_psi + the sum of the moves' gains, and every gain
+    is at least 1.
     """
 
     initial_psi: int
     moves: tuple[SwapMove, ...]
     final_psi: int
-    cotree_scan_passes: int
 
 
 def _subtree_intervals(t: RootedTree) -> tuple[list[int], list[int]]:
@@ -264,14 +263,7 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
                     if not tin[a] <= tin[b] < tout[a]:
                         queued.add(f)
                         heappush(heap, f)
-    final_psi = potential(t)
-    trace = SolveTrace(
-        initial_psi=initial_psi,
-        moves=tuple(moves),
-        final_psi=final_psi,
-        cotree_scan_passes=len(moves) + 1,
-    )
-    return t, trace
+    return t, SolveTrace(initial_psi, tuple(moves), potential(t))
 
 
 def _monotone_spanning_tree_restart(g: Graph, root: Vertex = 0) -> tuple[RootedTree, SolveTrace]:
@@ -281,9 +273,7 @@ def _monotone_spanning_tree_restart(g: Graph, root: Vertex = 0) -> tuple[RootedT
     t = bfs_tree(g, root)
     initial_psi = potential(t)
     moves: list[SwapMove] = []
-    passes = 0
     while True:
-        passes += 1
         violating = None
         for e in cotree_edges(t):
             if not cotree_path_is_monotone(t, e):
@@ -294,13 +284,7 @@ def _monotone_spanning_tree_restart(g: Graph, root: Vertex = 0) -> tuple[RootedT
         move = find_improving_swap(t, violating)
         t = apply_swap(t, move)
         moves.append(move)
-    trace = SolveTrace(
-        initial_psi=initial_psi,
-        moves=tuple(moves),
-        final_psi=potential(t),
-        cotree_scan_passes=passes,
-    )
-    return t, trace
+    return t, SolveTrace(initial_psi, tuple(moves), potential(t))
 
 
 def assign_signs(t: RootedTree) -> SignLabeling:
@@ -381,21 +365,18 @@ class Solution:
     tree: RootedTree
     signs: SignLabeling
     trace: SolveTrace
+    verification: VerificationReport
 
 
 def solve(g: Graph, root: Vertex = 0) -> Solution:
     """Spanning tree plus alternating sign labeling for a connected graph.
 
-    Composes monotone_spanning_tree and assign_signs, then re-verifies the
-    result; the verification cannot fail (monotone paths make the parity
-    labels alternate) and is kept as an internal guard.
+    Composes monotone_spanning_tree and assign_signs, then verifies the
+    labeling. The verification cannot fail (monotone paths make the parity
+    labels alternate); it is returned, not raised, and every caller treats
+    a failed ``solution.verification`` as an internal error.
     """
     require_connected(g)
     tree, trace = monotone_spanning_tree(g, root)
     signs = assign_signs(tree)
-    report = verify_alternating(g, tree, signs)
-    if not report.ok:
-        raise AssertionError(
-            f"internal error: solution failed verification: {report.violations}"
-        )
-    return Solution(tree=tree, signs=signs, trace=trace)
+    return Solution(tree, signs, trace, verify_alternating(g, tree, signs))

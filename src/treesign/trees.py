@@ -66,27 +66,37 @@ class RootedTree:
         return tuple(sorted(self.tree_edges))
 
 
+def _bfs(
+    neighbors: Sequence[Sequence[Vertex]], root: Vertex
+) -> tuple[list[Vertex | None], list[int], int]:
+    """Breadth-first parent and depth lists from ``root`` over a neighbor
+    list, and the number of vertices reached; unreached depths are -1."""
+    n = len(neighbors)
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range for n={n}")
+    parent: list[Vertex | None] = [None] * n
+    depth = [-1] * n
+    depth[root] = 0
+    queue = deque([root])
+    reached = 1
+    while queue:
+        u = queue.popleft()
+        for w in neighbors[u]:
+            if depth[w] < 0:
+                depth[w] = depth[u] + 1
+                parent[w] = u
+                reached += 1
+                queue.append(w)
+    return parent, depth, reached
+
+
 def bfs_tree(g: Graph, root: Vertex) -> RootedTree:
     """Breadth-first spanning tree; depths equal graph distance from root.
 
     Neighbors are explored in sorted order, so the result is deterministic.
     Raises DisconnectedGraphError when some vertex is unreachable.
     """
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range for n={g.n}")
-    parent: list[Vertex | None] = [None] * g.n
-    depth = [-1] * g.n
-    depth[root] = 0
-    queue = deque([root])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if depth[w] < 0:
-                depth[w] = depth[u] + 1
-                parent[w] = u
-                reached += 1
-                queue.append(w)
+    parent, depth, reached = _bfs(g.adjacency, root)
     if reached != g.n:
         raise DisconnectedGraphError(
             f"graph is not connected: reached {reached} of {g.n} vertices from {root}"
@@ -99,8 +109,6 @@ def tree_from_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree
 
     Validates that the edges belong to the graph and form a spanning tree.
     """
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range for n={g.n}")
     edge_list = [canonical_edge(u, v) for u, v in edges]
     edge_set = set(edge_list)
     if len(edge_set) != len(edge_list):
@@ -114,19 +122,7 @@ def tree_from_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree
     for u, v in edge_set:
         neighbors[u].append(v)
         neighbors[v].append(u)
-    parent: list[Vertex | None] = [None] * g.n
-    depth = [-1] * g.n
-    depth[root] = 0
-    queue = deque([root])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for w in neighbors[u]:
-            if depth[w] < 0:
-                depth[w] = depth[u] + 1
-                parent[w] = u
-                reached += 1
-                queue.append(w)
+    parent, depth, reached = _bfs(neighbors, root)
     if reached != g.n:
         raise ValueError("edges do not span the graph")
     return RootedTree(g, root, tuple(parent), tuple(depth))

@@ -1,9 +1,11 @@
 import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from treesign import emit_edge_list, gnp_graph, named_graph
+from treesign import emit_edge_list, exhaustive_check, gnp_graph, named_graph, solver
 from treesign.cli import BenchConfig, main, parse_sizes, run_bench
 
 P4_TEXT = "4\n0 1\n1 2\n2 3\n"
@@ -11,10 +13,9 @@ K3_TEXT = "3\n0 1\n0 2\n1 2\n"
 
 K3_REPORT = {
     "input": {"m": 3, "n": 3, "root": 0},
-    "schema_version": 1,
+    "schema_version": 2,
     "signs": {"0-2": "-", "1-2": "+"},
     "trace": {
-        "cotree_scan_passes": 2,
         "final_psi": 3,
         "initial_psi": 2,
         "moves": [{"add": [1, 2], "delta": 1, "remove": [0, 1]}],
@@ -28,6 +29,21 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def put(doc, where, value):
+    """Set the dotted field ``where`` (e.g. "input.root") of ``doc``."""
+    *parents, key = where.split(".")
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 def report_of(capsys):
@@ -193,6 +209,33 @@ class TestVerify:
             assert main(["verify", graph, bad]) == 2, mutate
             capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("input", [1]),
+            ("signs", [1]),
+            ("tree.edges", [["a", 1], [1, 2]]),
+            ("tree.edges", 5),
+            ("input.root", True),
+        ],
+    )
+    def test_rejects_values_of_the_wrong_type(self, tmp_path, capsys, where, value):
+        graph = write(tmp_path, "k3.edges", K3_TEXT)
+        doc = json.loads(json.dumps(K3_REPORT))
+        put(doc, where, value)
+        bad = write(tmp_path, "bad.json", json.dumps(doc))
+        assert main(["verify", graph, bad]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @given(where=st.sampled_from(["input", "input.root", "tree.edges", "signs"]), value=JSON_VALUES)
+    def test_any_json_value_exits_with_a_documented_code(self, tmp_path_factory, where, value):
+        work = tmp_path_factory.mktemp("fuzz")
+        graph = write(work, "k3.edges", K3_TEXT)
+        doc = json.loads(json.dumps(K3_REPORT))
+        put(doc, where, value)
+        solution = write(work, "doc.json", json.dumps(doc))
+        assert main(["verify", graph, solution]) in (0, 1, 2)
+
     def test_malformed_json(self, tmp_path, capsys):
         graph = write(tmp_path, "k3.edges", K3_TEXT)
         bad = write(tmp_path, "bad.json", "not json {")
@@ -227,6 +270,15 @@ class TestOracle:
         k3 = write(tmp_path, "k3.edges", K3_TEXT)
         assert main(["oracle", "--n", "3", "--input", k3]) == 2
         assert main(["oracle", "--n", "7"]) == 2
+        assert main(["oracle", "--n", "2..7"]) == 2
+        assert main(["oracle", "--n", "two"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_size_range(self, capsys):
+        assert main(["oracle", "--n", "2..3"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.strip().splitlines()) == 5
+        assert "5 graph(s) checked, 0 failed" in err
 
     def test_tree_cap(self, tmp_path, capsys):
         k4 = write(tmp_path, "k4.edges", emit_edge_list(named_graph("complete", (4,))))
@@ -260,9 +312,16 @@ class TestBench:
         assert main(["bench", "--family", "cycle", "--sizes", "4..6", "--csv", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
 
+    def test_family_list(self, capsys):
+        assert main(["bench", "--family", "path,cycle", "--sizes", "4,5"]) == 0
+        rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["path", "4"], ["path", "5"], ["cycle", "4"], ["cycle", "5"]]
+
     def test_unknown_family(self, capsys):
         assert main(["bench", "--family", "grid", "--sizes", "4"]) == 2
         assert "unknown bench family" in capsys.readouterr().err
+        assert main(["bench", "--family", "path,grid", "--sizes", "4"]) == 2
+        assert "unknown bench family 'grid'" in capsys.readouterr().err
 
     def test_bad_sizes(self, capsys):
         assert main(["bench", "--family", "path", "--sizes", "9x"]) == 2
@@ -281,3 +340,45 @@ class TestBenchHelpers:
         rows, skipped = run_bench(config)
         assert rows == [] and skipped == 1
         assert "skipped disconnected draw" in capsys.readouterr().err
+
+
+class TestInternalFailure:
+    """A labeling that fails verification, made by flipping the first sign
+    assign_signs returns: every caller of solve() must report it."""
+
+    @pytest.fixture(autouse=True)
+    def flip_one_sign(self, monkeypatch):
+        assign_signs = solver.assign_signs
+
+        def flipped(t):
+            signs = assign_signs(t)
+            first = min(signs)
+            signs[first] = signs[first].flipped()
+            return signs
+
+        monkeypatch.setattr(solver, "assign_signs", flipped)
+
+    def test_exhaustive_check_names_the_solver(self):
+        report = exhaustive_check(named_graph("complete", (3,)), 0)
+        assert not report.ok and not report.solve_agrees
+        assert report.witness["check"] == "solve_agrees"
+
+    def test_oracle_exits_5_and_writes_the_witness(self, tmp_path, capsys):
+        k3 = write(tmp_path, "k3.edges", K3_TEXT)
+        out = tmp_path / "reports.jsonl"
+        assert main(["oracle", "--input", k3, "--jsonl", str(out)]) == 5
+        assert json.loads(out.read_text())["ok"] is False
+        witness = json.loads((tmp_path / "reports.jsonl.witness.json").read_text())
+        assert witness["failing"][0]["witness"]["check"] == "solve_agrees"
+
+    def test_solve_writes_the_report_and_exits_4(self, tmp_path, capsys):
+        k3 = write(tmp_path, "k3.edges", K3_TEXT)
+        out = tmp_path / "report.json"
+        assert main(["solve", k3, "--json", str(out)]) == 4
+        verification = json.loads(out.read_text())["verification"]
+        assert verification["ok"] is False and verification["failures"]
+        assert "internal error" in capsys.readouterr().err
+
+    def test_bench_exits_4(self, capsys):
+        assert main(["bench", "--family", "complete", "--sizes", "3"]) == 4
+        assert "bench instance failed verification" in capsys.readouterr().err
