@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graphs import Edge, Graph, Vertex, canonical_edge, graph_key, is_connected
-from .solver import solve, verify_monotone
+from .solver import solve
 from .trees import (
     RootedTree,
     cotree_edges,
+    cotree_path_is_monotone,
     delta_potential,
     fundamental_path,
     potential,
@@ -194,6 +195,10 @@ def _admits_improving_swap(t: RootedTree) -> bool:
     return False
 
 
+def _all_paths_monotone(t: RootedTree) -> bool:
+    return all(cotree_path_is_monotone(t, e) for e in cotree_edges(t))
+
+
 def _tree_witness(t: RootedTree, check: str, detail: str) -> dict:
     return {
         "check": check,
@@ -271,7 +276,7 @@ def exhaustive_check(
         nonlocal witness, tree_count, all_local_maxima_conform
         for t in enumerate_spanning_trees(g, root, max_trees):
             tree_count += 1
-            if not verify_monotone(g, t).ok and not _admits_improving_swap(t):
+            if not _all_paths_monotone(t) and not _admits_improving_swap(t):
                 all_local_maxima_conform = False
                 if witness is None:
                     witness = _tree_witness(
@@ -283,7 +288,7 @@ def exhaustive_check(
 
     best, best_psi, max_count = _max_potential(each_tree())
     kirchhoff = count_spanning_trees(g)
-    global_max_conforms = verify_monotone(g, best).ok
+    global_max_conforms = _all_paths_monotone(best)
     if not global_max_conforms and witness is None:
         witness = _tree_witness(
             best, "global_max_conforms", "potential-maximal tree with a non-monotone path"

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import enum
 import json
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import Callable, Mapping, Sequence
 
 from .graphs import Edge, Graph, Vertex, canonical_edge
 from .trees import (
@@ -23,11 +26,11 @@ from .trees import (
     bfs_tree,
     cotree_edges,
     cotree_path_is_monotone,
-    detached_component,
     fundamental_path,
     monotone_report,
     potential,
     require_connected,
+    tree_path,
 )
 
 
@@ -96,52 +99,93 @@ def _subtree_sizes(t: RootedTree, top: Vertex) -> dict[Vertex, int]:
     return size
 
 
-def candidate_deltas(t: RootedTree, e: Edge) -> list[tuple[Edge, int]]:
-    """Potential gain of every removal candidate on e's fundamental path.
+def _path_gains(
+    path: Sequence[Vertex], depth: Sequence[int], size: Mapping[Vertex, int] | Sequence[int]
+) -> tuple[int, list[int]]:
+    """Valley index of a non-monotone tree path and the potential gain of
+    removing each of its edges, given the depth and subtree size of every
+    path vertex but the valley.
 
     The depth sequence of a non-monotone tree path descends to a unique
     valley and ascends after it (an interior local maximum is impossible:
     both its path neighbors would have to be its parent). Removing the
     j-th edge on the descending branch detaches subtree(v_j) and re-hangs
-    it through e; a vertex whose lowest path ancestor is v_i then changes
-    depth by exactly depth(v_0) + depth(v_l) + 1 - 2*depth(v_i), so the
-    gains are prefix sums weighted by subtree sizes along the branch, and
-    symmetrically on the ascending side. Each result equals
-    delta_potential(t, e, candidate) at a total cost of two subtree
-    traversals instead of one per candidate.
+    it through the cotree edge; a vertex whose lowest path ancestor is v_i
+    then changes depth by exactly depth(v_0) + depth(v_l) + 1 - 2*depth(v_i),
+    so the gains are prefix sums weighted by subtree sizes along the
+    branch, and symmetrically on the ascending side.
+
+    The increments along a branch have the sign of depth(v_0) + depth(v_l)
+    + 1 - 2*depth(v_i), which grows toward the valley, so a branch's gains
+    fall and then rise; and a gain of at least 1 at the branch's far end
+    makes every later increment positive. The best strictly improving
+    removal is therefore always one of the two path edges at the valley.
     """
-    e = canonical_edge(*e)
-    path = fundamental_path(t, e)
-    dep = [t.depth[v] for v in path]
+    dep = [depth[v] for v in path]
     last = len(path) - 1
     k = dep.index(min(dep))
     if k == 0 or k == last:
-        raise ValueError(f"fundamental path of {e} is monotone; nothing to improve")
+        raise ValueError(
+            f"fundamental path of {(path[0], path[last])} is monotone; nothing to improve"
+        )
     if any(dep[i] <= dep[i + 1] for i in range(k)) or any(
         dep[i] >= dep[i + 1] for i in range(k, last)
     ):
         raise AssertionError(f"tree path depths are not valley-shaped: {dep}")
     gain = dep[0] + dep[last] + 1
     deltas = [0] * last
-    left_sizes = _subtree_sizes(t, path[k - 1])
     acc = 0
     prev = 0
     for i in range(k):
-        sz = left_sizes[path[i]]
+        sz = size[path[i]]
         acc += (sz - prev) * (gain - 2 * dep[i])
         prev = sz
         deltas[i] = acc
-    right_sizes = _subtree_sizes(t, path[k + 1])
     acc = 0
     prev = 0
     for i in range(last, k, -1):
-        sz = right_sizes[path[i]]
+        sz = size[path[i]]
         acc += (sz - prev) * (gain - 2 * dep[i])
         prev = sz
         deltas[i - 1] = acc
-    return [
-        (canonical_edge(path[j], path[j + 1]), deltas[j]) for j in range(last)
-    ]
+    return k, deltas
+
+
+def _candidates(path: Sequence[Vertex], deltas: list[int]) -> list[tuple[Edge, int]]:
+    return [(canonical_edge(path[j], path[j + 1]), d) for j, d in enumerate(deltas)]
+
+
+def _best_removal(
+    path: Sequence[Vertex], deltas: list[int], tree: Callable[[], RootedTree]
+) -> int:
+    """Path index of the removal with maximum gain, ties going to the
+    smallest index. A best gain below 1 raises NoImprovingSwapError, whose
+    instance dump is built from ``tree()`` only then."""
+    best = max(range(len(deltas)), key=deltas.__getitem__)
+    if deltas[best] < 1:
+        e = (path[0], path[-1])
+        raise NoImprovingSwapError(
+            falsification_instance(tree(), e, tuple(path), _candidates(path, deltas))
+        )
+    return best
+
+
+def _tree_gains(t: RootedTree, e: Edge) -> tuple[tuple[Vertex, ...], list[int]]:
+    """Fundamental path of the cotree edge ``e`` and _path_gains over it,
+    with subtree sizes from one traversal under the path's top vertex."""
+    path = fundamental_path(t, e)
+    top = min(path, key=t.depth.__getitem__)
+    return path, _path_gains(path, t.depth, _subtree_sizes(t, top))[1]
+
+
+def candidate_deltas(t: RootedTree, e: Edge) -> list[tuple[Edge, int]]:
+    """Potential gain of every removal candidate on e's fundamental path.
+
+    Each result equals delta_potential(t, e, candidate) (see _path_gains),
+    at the cost of one subtree traversal instead of one re-rooting per
+    candidate.
+    """
+    return _candidates(*_tree_gains(t, canonical_edge(*e)))
 
 
 def find_improving_swap(t: RootedTree, e: Edge) -> SwapMove:
@@ -154,16 +198,9 @@ def find_improving_swap(t: RootedTree, e: Edge) -> SwapMove:
     without one raises NoImprovingSwapError.
     """
     e = canonical_edge(*e)
-    candidates = candidate_deltas(t, e)
-    best_index = 0
-    for j, (_, delta) in enumerate(candidates):
-        if delta > candidates[best_index][1]:
-            best_index = j
-    removed, delta = candidates[best_index]
-    if delta < 1:
-        path = fundamental_path(t, e)
-        raise NoImprovingSwapError(falsification_instance(t, e, path, candidates))
-    return SwapMove(added=e, removed=removed, delta_psi=delta)
+    path, deltas = _tree_gains(t, e)
+    j = _best_removal(path, deltas, lambda: t)
+    return SwapMove(added=e, removed=canonical_edge(path[j], path[j + 1]), delta_psi=deltas[j])
 
 
 @dataclass(frozen=True)
@@ -179,97 +216,163 @@ class SolveTrace:
     final_psi: int
 
 
-def _subtree_intervals(t: RootedTree) -> tuple[list[int], list[int]]:
-    """Preorder enter/exit times; u is an ancestor of v iff
-    tin[u] <= tin[v] < tout[u]. Rebuilt per tree in O(n)."""
-    tin = [0] * t.graph.n
-    tout = [0] * t.graph.n
-    timer = 0
-    stack: list[tuple[Vertex, bool]] = [(t.root, False)]
-    while stack:
-        v, leaving = stack.pop()
-        if leaving:
-            tout[v] = timer
-            continue
-        tin[v] = timer
-        timer += 1
-        stack.append((v, True))
-        for c in t.children[v]:
-            stack.append((c, False))
-    return tin, tout
-
-
 def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, SolveTrace]:
     """Spanning tree in which every fundamental path is strictly monotone.
 
     Starts from the breadth-first tree and repeatedly fixes the
     lexicographically first cotree edge whose fundamental path is not
-    monotone, restarting the scan after each exchange. The potential
-    strictly increases with every move and is at most (n-1)^2, so the
-    loop terminates.
+    monotone, with the exchange find_improving_swap would choose. The
+    potential strictly increases with every move and is at most (n-1)^2,
+    so the loop terminates. The move sequence is that of rescanning all
+    cotree edges after every exchange (_monotone_spanning_tree_restart).
 
-    The rescan skips settled edges: an exchange changes depths only
-    inside the detached component, and a tree path between two vertices
-    outside that component never enters it, so only cotree edges with an
-    endpoint in the component can lose monotonicity. A path is monotone
-    iff its shallow endpoint is an ancestor of the deep one, tested in
-    O(1) against preorder intervals; after each move, exactly the edges
-    incident to the component are re-tested and the violating ones queued.
-    The queue pops in lexicographic order with a re-test (entries can be
-    healed by later moves), which yields exactly the move sequence of a
-    full restart.
+    State. One tree, updated in place by each move: parent, depth and
+    subtree-size lists, per-vertex child lists, and edge ids in
+    ``g.edges`` order (a CSR index over ``g.adjacency``) with bytearray
+    flags "cotree" and "queued". Ids order the heap, so it pops
+    lexicographically.
+
+    Queue invariant. Every cotree edge whose fundamental path is not
+    monotone is queued; a pop re-tests its edge by walking the tree path
+    (a path is monotone iff one endpoint is an ancestor of the other), so
+    healed entries are dropped and the first violating pop is the
+    lexicographically first violation. Initially every cotree edge is
+    queued.
+
+    Re-queue. Let e's path be a ... top ... b. The best exchange always
+    removes an edge (top, child) at the valley (see _path_gains), so the
+    component under ``child`` is the branch below top that holds one
+    endpoint, ``inner``; it is re-hung from the other endpoint, ``outer``.
+    Depths change only inside the component, and a path between two
+    outside vertices never enters it, so only edges with an endpoint x in
+    the component can turn non-monotone:
+    - an edge (x, w) with w outside is monotone iff w is an ancestor-or-
+      self of the component's parent. That was top and is now outer, whose
+      ancestors include top's, so none of these edges turns non-monotone
+      (a removal below top would flip those with w between its upper
+      endpoint and top);
+    - re-rooting the component from child to inner changes an ancestor
+      relation inside it only for pairs with an endpoint on the chain
+      inner ... child, which is the branch itself.
+    So a move probes only the chain's neighbours, testing each against the
+    chain position of its lowest chain ancestor and its new depth. Subtree
+    sizes, which price the candidates, change only on the path.
     """
     t = bfs_tree(g, root)
     initial_psi = potential(t)
-    depth = t.depth
-    tin, tout = _subtree_intervals(t)
+    n = g.n
+    edges = g.edges
     adjacency = g.adjacency
-    cotree = set(g.edge_set - t.tree_edges)
-    heap = []
-    for f in cotree:
-        a, b = f
-        if depth[a] > depth[b]:
-            a, b = b, a
-        if not tin[a] <= tin[b] < tout[a]:
-            heap.append(f)
-    heap.sort()
-    queued = set(heap)
+    parent = list(t.parent)
+    depth = list(t.depth)
+    children: list[list[Vertex]] = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p is not None:
+            children[p].append(v)
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    size = array("l", [1]) * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    del order
+    # edge_id[offset[v] + i] is the id of the edge from v to adjacency[v][i];
+    # the ids at each vertex come out in neighbour order because edges are sorted.
+    offset = array("l", [0]) * (n + 1)
+    for v in range(n):
+        offset[v + 1] = offset[v] + len(adjacency[v])
+    edge_id = array("l", [0]) * offset[n]
+    cursor = offset[:n]
+    cotree = bytearray(len(edges))
+    for f, (u, v) in enumerate(edges):
+        edge_id[cursor[u]] = f
+        cursor[u] += 1
+        edge_id[cursor[v]] = f
+        cursor[v] += 1
+        if parent[u] != v and parent[v] != u:
+            cotree[f] = 1
+    del cursor
+    heap = [f for f in range(len(edges)) if cotree[f]]
+    queued = bytearray(cotree)
+    low = [-1] * n  # chain position of a component vertex's lowest chain ancestor
     moves: list[SwapMove] = []
     while heap:
-        e = heappop(heap)
-        queued.discard(e)
-        if e not in cotree:
-            continue
-        u, v = e
-        if depth[u] > depth[v]:
-            u, v = v, u
-        if tin[u] <= tin[v] < tout[u]:
-            continue
-        move = find_improving_swap(t, e)
-        comp = detached_component(t, move.removed)
-        t = apply_swap(t, move)
-        moves.append(move)
-        depth = t.depth
-        tin, tout = _subtree_intervals(t)
-        cotree.discard(move.added)
-        cotree.add(move.removed)
+        f = heappop(heap)
+        queued[f] = 0
+        a, b = edges[f]
+        path = tree_path(parent, depth, a, b)
+        if abs(depth[a] - depth[b]) == len(path) - 1:
+            continue  # monotone: one endpoint is an ancestor of the other
+        k, deltas = _path_gains(path, depth, size)
+        j = _best_removal(
+            path, deltas, lambda: RootedTree(g, root, tuple(parent), tuple(depth))
+        )
+        # The component is the branch below top that holds the inner
+        # endpoint; the other branch, outer up to just below top, gains it.
+        if j == k - 1:
+            chain, gaining = path[:k], path[:k:-1]
+        elif j == k:
+            chain, gaining = path[:k:-1], path[:k]
+        else:
+            raise AssertionError(f"best exchange on {path} does not remove a top edge")
+        inner, child, outer, top = chain[0], chain[-1], gaining[0], path[k]
+        removed = edge_id[offset[child] + bisect_left(adjacency[child], top)]
+        moves.append(SwapMove(edges[f], edges[removed], deltas[j]))
+        cotree[f] = 0
+        cotree[removed] = 1
+
+        comp_size = size[child]
+        for w in gaining:
+            size[w] += comp_size
+        base = depth[outer] + 1
+        comp = []
+        below = -1
+        for i, c in enumerate(chain):
+            shift = base + i - depth[c]
+            depth[c] += shift
+            low[c] = i
+            comp.append(c)
+            stack = [y for y in children[c] if y != below]
+            while stack:
+                x = stack.pop()
+                depth[x] += shift
+                low[x] = i
+                comp.append(x)
+                stack.extend(children[x])
+            below = c
+        children[top].remove(child)
+        children[outer].append(inner)
+        parent[inner] = outer
+        prev_size = size[inner]
+        size[inner] = comp_size
+        for i in range(1, len(chain)):
+            c, prev = chain[i], chain[i - 1]
+            children[c].remove(prev)
+            children[prev].append(c)
+            parent[c] = prev
+            prev_size, size[c] = size[c], comp_size - prev_size
+
+        for i, c in enumerate(chain):
+            ids = offset[c]
+            for pos, x in enumerate(adjacency[c]):
+                lx = low[x]
+                # x is in the component, c is not its ancestor, x is off the chain
+                if 0 <= lx < i and depth[x] != base + lx:
+                    h = edge_id[ids + pos]
+                    if cotree[h] and not queued[h]:
+                        queued[h] = 1
+                        heappush(heap, h)
         for x in comp:
-            for w in adjacency[x]:
-                f = (x, w) if x < w else (w, x)
-                if f in cotree and f not in queued:
-                    a, b = f
-                    if depth[a] > depth[b]:
-                        a, b = b, a
-                    if not tin[a] <= tin[b] < tout[a]:
-                        queued.add(f)
-                        heappush(heap, f)
+            low[x] = -1
+    t = RootedTree(g, root, tuple(parent), tuple(depth))
     return t, SolveTrace(initial_psi, tuple(moves), potential(t))
 
 
 def _monotone_spanning_tree_restart(g: Graph, root: Vertex = 0) -> tuple[RootedTree, SolveTrace]:
     """Reference implementation of monotone_spanning_tree that literally
-    rescans from the first cotree edge after every exchange. Kept for
-    cross-checking the resume-point scan; quadratically slower."""
+    rescans from the first cotree edge after every exchange, on immutable
+    trees. Kept as the test reference for the in-place ascent and its
+    re-queue scan; quadratically slower."""
     t = bfs_tree(g, root)
     initial_psi = potential(t)
     moves: list[SwapMove] = []

@@ -24,7 +24,14 @@ class DisconnectedGraphError(ValueError):
 
 def require_connected(g: Graph) -> None:
     """Raise DisconnectedGraphError for a disconnected graph, naming the
-    component count and suggesting per-component runs."""
+    component count and suggesting per-component runs. Fewer than n - 1
+    edges cannot connect n vertices; that is refused before the O(n)
+    component listing, so a huge declared vertex count costs nothing."""
+    if g.m < g.n - 1:
+        raise DisconnectedGraphError(
+            f"graph is not connected: {g.n} vertices need at least {g.n - 1} "
+            f"edges, got {g.m}; solve each component separately"
+        )
     comps = connected_components(g)
     if len(comps) > 1:
         sizes = ", ".join(str(len(c)) for c in comps)
@@ -172,23 +179,31 @@ def fundamental_path(t: RootedTree, e: Edge) -> tuple[Vertex, ...]:
         raise ValueError(f"{e} is not an edge of the graph")
     if e in t.tree_edges:
         raise ValueError(f"{e} is a tree edge, not a cotree edge")
-    a, b = e
+    return tuple(tree_path(t.parent, t.depth, *e))
+
+
+def tree_path(
+    parent: Sequence[Vertex | None], depth: Sequence[int], a: Vertex, b: Vertex
+) -> list[Vertex]:
+    """Vertices of the tree path from ``a`` to ``b``, given parent and depth
+    maps of a rooted tree; walks up from both ends to their common ancestor."""
     up_a = [a]
     up_b = [b]
     x, y = a, b
-    while t.depth[x] > t.depth[y]:
-        x = t.parent[x]  # type: ignore[assignment]
+    while depth[x] > depth[y]:
+        x = parent[x]  # type: ignore[assignment]
         up_a.append(x)
-    while t.depth[y] > t.depth[x]:
-        y = t.parent[y]  # type: ignore[assignment]
+    while depth[y] > depth[x]:
+        y = parent[y]  # type: ignore[assignment]
         up_b.append(y)
     while x != y:
-        x = t.parent[x]  # type: ignore[assignment]
-        y = t.parent[y]  # type: ignore[assignment]
+        x = parent[x]  # type: ignore[assignment]
+        y = parent[y]  # type: ignore[assignment]
         up_a.append(x)
         up_b.append(y)
     up_b.pop()  # both branches end at the common ancestor; keep one copy
-    return tuple(up_a + up_b[::-1])
+    up_a.extend(reversed(up_b))
+    return up_a
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import json
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from treesign import emit_edge_list, exhaustive_check, gnp_graph, named_graph, solver
 from treesign.cli import BenchConfig, main, parse_sizes, run_bench
@@ -43,6 +43,24 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
+)
+
+
+# Graph inputs for the parser fuzz: arbitrary text, arbitrary bytes (mostly
+# invalid UTF-8), and lines of tokens either format might accept.
+NUMBERS = st.sampled_from(["0", "1", "2", "3", "4", "-1", "1000000000000"])
+GRAPH_LINES = (
+    st.lists(
+        NUMBERS | st.sampled_from(["p", "edge", "e", "c", "#"]) | st.text(max_size=3),
+        max_size=4,
+    ).map(" ".join)
+    | st.builds("p edge {} {}".format, NUMBERS, NUMBERS)
+    | st.builds("e {} {}".format, NUMBERS, NUMBERS)
+)
+GRAPH_BYTES = (
+    st.text(max_size=60).map(str.encode)
+    | st.binary(max_size=60)
+    | st.lists(GRAPH_LINES, max_size=8).map(lambda lines: "\n".join(lines).encode())
 )
 
 
@@ -156,10 +174,21 @@ class TestSolve:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.edges")]) == 2
 
+    @given(data=GRAPH_BYTES, fmt=st.sampled_from(["edgelist", "dimacs"]))
+    @settings(max_examples=300)
+    def test_any_input_exits_with_a_documented_code(self, tmp_path_factory, data, fmt):
+        path = tmp_path_factory.mktemp("fuzz") / "graph"
+        path.write_bytes(data)
+        assert main(["solve", str(path), "--format", fmt]) in range(6)
+
     def test_disconnected(self, tmp_path, capsys):
         path = write(tmp_path, "split.edges", "4\n0 1\n2 3\n")
         assert main(["solve", path]) == 3
         assert "not connected" in capsys.readouterr().err
+        # refused from the edge count, before any per-vertex work
+        path = write(tmp_path, "huge.edges", "1000000000\n0 1\n")
+        assert main(["solve", path]) == 3
+        assert "1000000000 vertices need at least 999999999 edges, got 1" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -24,6 +24,7 @@ from treesign import (
     verify_alternating,
     verify_monotone,
 )
+from treesign.oracle import enumerate_connected_graphs, enumerate_spanning_trees
 from treesign.solver import (
     _monotone_spanning_tree_restart,
     candidate_deltas,
@@ -34,6 +35,17 @@ from treesign.trees import cotree_path_is_monotone
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
 P4 = named_graph("path", (4,))
+
+
+def assert_matches_restart_reference(g, root):
+    """The incremental ascent makes the moves of a full rescan after every
+    exchange, and ends at the same tree."""
+    t, trace = monotone_spanning_tree(g, root)
+    ref_t, ref_trace = _monotone_spanning_tree_restart(g, root)
+    assert trace == ref_trace
+    assert t.depth == ref_t.depth
+    assert t.tree_edges == ref_t.tree_edges
+    return trace
 
 
 class TestSign:
@@ -85,6 +97,22 @@ class TestFindImprovingSwap:
         with pytest.raises(ValueError, match="monotone"):
             find_improving_swap(t, (0, 3))
 
+    def test_best_removal_is_at_the_top(self):
+        """The ascent relies on this: the best exchange removes one of the
+        two path edges at the top, on every non-monotone path of every
+        spanning tree of every connected graph with n <= 5."""
+        paths = 0
+        for n in range(3, 6):
+            for g in enumerate_connected_graphs(n):
+                for t in enumerate_spanning_trees(g, 0):
+                    for e in cotree_edges(t):
+                        if not cotree_path_is_monotone(t, e):
+                            path = fundamental_path(t, e)
+                            top = min(path, key=t.depth.__getitem__)
+                            assert top in find_improving_swap(t, e).removed
+                            paths += 1
+        assert paths == 9865
+
     def test_error_carries_the_instance(self):
         t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
         path = fundamental_path(t, (1, 2))
@@ -124,15 +152,27 @@ class TestMonotoneSpanningTree:
         t, _ = monotone_spanning_tree(g, 0)
         assert verify_monotone(g, t).ok
 
-    @given(rooted_connected_graphs())
+    @given(rooted_connected_graphs(max_n=14))
     @settings(max_examples=60)
     def test_matches_full_restart_reference(self, case):
-        g, root = case
-        t, trace = monotone_spanning_tree(g, root)
-        ref_t, ref_trace = _monotone_spanning_tree_restart(g, root)
-        assert t.tree_edges == ref_t.tree_edges
-        assert t.depth == ref_t.depth
-        assert trace == ref_trace
+        assert_matches_restart_reference(*case)
+
+    def test_matches_restart_reference_on_every_small_graph(self):
+        pairs = 0
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                for root in range(n):
+                    assert_matches_restart_reference(g, root)
+                    pairs += 1
+        assert pairs == 3807
+
+    @pytest.mark.parametrize(
+        "family, params, moves",
+        [("complete", (30,), 210), ("grid", (6, 6), 15), ("hypercube", (5,), 32)],
+    )
+    def test_matches_restart_reference_mid_size(self, family, params, moves):
+        trace = assert_matches_restart_reference(named_graph(family, params), 0)
+        assert len(trace.moves) == moves
 
     @given(rooted_connected_graphs())
     def test_ascent_is_strict_and_bounded(self, case):
