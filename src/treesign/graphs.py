@@ -102,7 +102,10 @@ class Graph:
         for u, v in self.edges:
             neighbors[u].append(v)
             neighbors[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in neighbors)
+        # Already sorted: edges are sorted and unique, so vertex x receives
+        # its lower neighbours from (u, x), u ascending, before its higher
+        # ones from (x, w), w ascending.
+        return tuple(tuple(ns) for ns in neighbors)
 
     def degree(self, v: Vertex) -> int:
         return len(self.adjacency[v])
@@ -137,20 +140,7 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[Graph, Normali
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == g.n
+    return len(connected_components(g)) <= 1
 
 
 def connected_components(g: Graph) -> list[list[Vertex]]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import json
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Mapping, Sequence
@@ -227,10 +226,10 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     cotree edges after every exchange (_monotone_spanning_tree_restart).
 
     State. One tree, updated in place by each move: parent, depth and
-    subtree-size lists, per-vertex child lists, and edge ids in
-    ``g.edges`` order (a CSR index over ``g.adjacency``) with bytearray
-    flags "cotree" and "queued". Ids order the heap, so it pops
-    lexicographically.
+    subtree-size lists and per-vertex child lists; an edge is a tree edge
+    iff one endpoint is the other's parent. The heap holds cotree edges as
+    canonical tuples, so it pops lexicographically, and a set names the
+    queued ones so that no edge is pushed twice.
 
     Queue invariant. Every cotree edge whose fundamental path is not
     monotone is queued; a pop re-tests its edge by walking the tree path
@@ -261,7 +260,6 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     t = bfs_tree(g, root)
     initial_psi = potential(t)
     n = g.n
-    edges = g.edges
     adjacency = g.adjacency
     parent = list(t.parent)
     depth = list(t.depth)
@@ -276,30 +274,15 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
     del order
-    # edge_id[offset[v] + i] is the id of the edge from v to adjacency[v][i];
-    # the ids at each vertex come out in neighbour order because edges are sorted.
-    offset = array("l", [0]) * (n + 1)
-    for v in range(n):
-        offset[v + 1] = offset[v] + len(adjacency[v])
-    edge_id = array("l", [0]) * offset[n]
-    cursor = offset[:n]
-    cotree = bytearray(len(edges))
-    for f, (u, v) in enumerate(edges):
-        edge_id[cursor[u]] = f
-        cursor[u] += 1
-        edge_id[cursor[v]] = f
-        cursor[v] += 1
-        if parent[u] != v and parent[v] != u:
-            cotree[f] = 1
-    del cursor
-    heap = [f for f in range(len(edges)) if cotree[f]]
-    queued = bytearray(cotree)
+    # g.edges is sorted, so the filtered list is already a heap.
+    heap = [(u, v) for u, v in g.edges if parent[u] != v and parent[v] != u]
+    queued = set(heap)
     low = [-1] * n  # chain position of a component vertex's lowest chain ancestor
     moves: list[SwapMove] = []
     while heap:
-        f = heappop(heap)
-        queued[f] = 0
-        a, b = edges[f]
+        e = heappop(heap)
+        queued.remove(e)
+        a, b = e
         path = tree_path(parent, depth, a, b)
         if abs(depth[a] - depth[b]) == len(path) - 1:
             continue  # monotone: one endpoint is an ancestor of the other
@@ -316,10 +299,7 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
         else:
             raise AssertionError(f"best exchange on {path} does not remove a top edge")
         inner, child, outer, top = chain[0], chain[-1], gaining[0], path[k]
-        removed = edge_id[offset[child] + bisect_left(adjacency[child], top)]
-        moves.append(SwapMove(edges[f], edges[removed], deltas[j]))
-        cotree[f] = 0
-        cotree[removed] = 1
+        moves.append(SwapMove(e, canonical_edge(top, child), deltas[j]))
 
         comp_size = size[child]
         for w in gaining:
@@ -353,14 +333,17 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
             prev_size, size[c] = size[c], comp_size - prev_size
 
         for i, c in enumerate(chain):
-            ids = offset[c]
-            for pos, x in enumerate(adjacency[c]):
+            for x in adjacency[c]:
                 lx = low[x]
-                # x is in the component, c is not its ancestor, x is off the chain
+                # x is in the component, c is not its ancestor, x is off the
+                # chain. No tree edge passes: c's parent chain[i-1] is on the
+                # chain at depth base + lx, outer has low -1, chain[i+1] has
+                # low i+1 and c's other children low i. (A tree edge popped
+                # anyway would read as monotone.)
                 if 0 <= lx < i and depth[x] != base + lx:
-                    h = edge_id[ids + pos]
-                    if cotree[h] and not queued[h]:
-                        queued[h] = 1
+                    h = (c, x) if c < x else (x, c)
+                    if h not in queued:
+                        queued.add(h)
                         heappush(heap, h)
         for x in comp:
             low[x] = -1

@@ -64,6 +64,15 @@ def test_adjacency_and_degree():
     assert g.m == 3
 
 
+@given(connected_graphs())
+def test_adjacency_is_the_sorted_neighbours_of_the_edges(g):
+    for v, ns in enumerate(g.adjacency):
+        assert all(x < y for x, y in zip(ns, ns[1:]))
+        assert list(ns) == sorted(
+            [w for u, w in g.edges if u == v] + [u for u, w in g.edges if w == v]
+        )
+
+
 def test_connectivity():
     path = named_graph("path", (4,))
     assert is_connected(path)

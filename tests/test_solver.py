@@ -168,11 +168,27 @@ class TestMonotoneSpanningTree:
 
     @pytest.mark.parametrize(
         "family, params, moves",
-        [("complete", (30,), 210), ("grid", (6, 6), 15), ("hypercube", (5,), 32)],
+        [
+            ("complete", (30,), 210),
+            ("grid", (6, 6), 15),
+            ("hypercube", (5,), 32),
+            ("cycle", (64,), 1),
+            ("cycle", (65,), 1),
+            ("path", (64,), 0),
+        ],
     )
     def test_matches_restart_reference_mid_size(self, family, params, moves):
         trace = assert_matches_restart_reference(named_graph(family, params), 0)
         assert len(trace.moves) == moves
+
+    def test_long_cycle_rehangs_one_branch_in_one_move(self):
+        # The breadth-first tree of an odd cycle is two branches of 10,000
+        # edges; the one move re-hangs a whole branch below the other.
+        g = named_graph("cycle", (20001,))
+        t, trace = monotone_spanning_tree(g, 0)
+        assert [m.removed for m in trace.moves] == [(0, 1)]
+        assert trace.final_psi == g.n * (g.n - 1) // 2
+        assert sorted(t.depth) == list(range(g.n))
 
     @given(rooted_connected_graphs())
     def test_ascent_is_strict_and_bounded(self, case):
