@@ -165,13 +165,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _parse_sign_key(key: str) -> Edge:
-    u, sep, v = key.partition("-")
-    if not sep:
-        raise ParseError(f"malformed edge key {key!r}, expected 'u-v'")
+    """Edge named by a signs key. Only the plain decimal spelling 'u-v' is
+    accepted, so no two keys can name one edge."""
+    u, _, v = key.partition("-")
     try:
         a, b = int(u), int(v)
     except ValueError:
         raise ParseError(f"malformed edge key {key!r}, expected 'u-v'") from None
+    if key != f"{a}-{b}":
+        raise ParseError(f"malformed edge key {key!r}, expected 'u-v'")
     if not a < b:
         raise ParseError(f"edge key {key!r} is not in canonical u<v order")
     return (a, b)
@@ -216,12 +218,10 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
     signs: SignLabeling = {}
     for key, value in sign_rows.items():
         edge = _parse_sign_key(key)
-        if value == Sign.PLUS.value:
-            signs[edge] = Sign.PLUS
-        elif value == Sign.MINUS.value:
-            signs[edge] = Sign.MINUS
-        else:
-            raise ParseError(f"unknown sign {value!r} for edge {key}")
+        try:
+            signs[edge] = Sign(value)
+        except ValueError:
+            raise ParseError(f"unknown sign {value!r} for edge {key}") from None
     return tree, signs, root
 
 

@@ -15,7 +15,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .graphs import Edge, Graph, Vertex, canonical_edge
 from .trees import (
@@ -25,6 +25,7 @@ from .trees import (
     bfs_tree,
     cotree_edges,
     cotree_path_is_monotone,
+    delta_potential,
     fundamental_path,
     monotone_report,
     potential,
@@ -82,24 +83,8 @@ def falsification_instance(
     }
 
 
-def _subtree_sizes(t: RootedTree, top: Vertex) -> dict[Vertex, int]:
-    """Subtree size of every vertex under (and including) ``top``."""
-    order = [top]
-    stack = [top]
-    while stack:
-        x = stack.pop()
-        for c in t.children[x]:
-            order.append(c)
-            stack.append(c)
-    size = dict.fromkeys(order, 1)
-    for x in reversed(order):
-        if x != top:
-            size[t.parent[x]] += size[x]
-    return size
-
-
 def _path_gains(
-    path: Sequence[Vertex], depth: Sequence[int], size: Mapping[Vertex, int] | Sequence[int]
+    path: Sequence[Vertex], depth: Sequence[int], size: Sequence[int]
 ) -> tuple[int, list[int]]:
     """Valley index of a non-monotone tree path and the potential gain of
     removing each of its edges, given the depth and subtree size of every
@@ -170,19 +155,24 @@ def _best_removal(
 
 
 def _tree_gains(t: RootedTree, e: Edge) -> tuple[tuple[Vertex, ...], list[int]]:
-    """Fundamental path of the cotree edge ``e`` and _path_gains over it,
-    with subtree sizes from one traversal under the path's top vertex."""
+    """Fundamental path of the non-monotone cotree edge ``e`` and the
+    potential gain of removing each of its edges, by delta_potential."""
     path = fundamental_path(t, e)
-    top = min(path, key=t.depth.__getitem__)
-    return path, _path_gains(path, t.depth, _subtree_sizes(t, top))[1]
+    if cotree_path_is_monotone(t, e):
+        raise ValueError(f"fundamental path of {e} is monotone; nothing to improve")
+    return path, [
+        delta_potential(t, e, canonical_edge(path[j], path[j + 1]))
+        for j in range(len(path) - 1)
+    ]
 
 
 def candidate_deltas(t: RootedTree, e: Edge) -> list[tuple[Edge, int]]:
     """Potential gain of every removal candidate on e's fundamental path.
 
-    Each result equals delta_potential(t, e, candidate) (see _path_gains),
-    at the cost of one subtree traversal instead of one re-rooting per
-    candidate.
+    This is the reference pricing: each candidate's exchanged tree is
+    rooted afresh (delta_potential), so it costs O(path * n), where the
+    ascent's closed form (_path_gains) costs O(path). The path must be
+    non-monotone.
     """
     return _candidates(*_tree_gains(t, canonical_edge(*e)))
 

@@ -4,8 +4,10 @@ A RootedTree pins a spanning tree of a graph at a root and keeps
 array-backed parent and depth maps. The depth of a vertex is the length
 of its unique tree path from the root; the potential of a tree is the sum
 of all depths. Exchanging a cotree edge for an edge on its fundamental
-path yields another spanning tree; the potential change is computed by
-re-rooting only the detached component.
+path yields another spanning tree. apply_swap and delta_potential root
+the exchanged edge set afresh, by the same breadth-first search as
+tree_from_edges, so they price a move by definition; the solver's ascent
+prices its moves in closed form instead and is tested against them.
 """
 
 from __future__ import annotations
@@ -125,13 +127,22 @@ def tree_from_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree
         raise ValueError(f"edge {missing} is not an edge of the graph")
     if len(edge_set) != g.n - 1:
         raise ValueError(f"a spanning tree of n={g.n} needs {g.n - 1} edges, got {len(edge_set)}")
+    t = _root(g, edge_set, root)
+    if t is None:
+        raise ValueError("edges do not span the graph")
+    return t
+
+
+def _root(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree | None:
+    """Breadth-first rooting of an edge set of ``g``; None when it does not
+    reach every vertex. The caller vouches for the edges being graph edges."""
     neighbors: list[list[Vertex]] = [[] for _ in range(g.n)]
-    for u, v in edge_set:
+    for u, v in edges:
         neighbors[u].append(v)
         neighbors[v].append(u)
     parent, depth, reached = _bfs(neighbors, root)
     if reached != g.n:
-        raise ValueError("edges do not span the graph")
+        return None
     return RootedTree(g, root, tuple(parent), tuple(depth))
 
 
@@ -266,69 +277,33 @@ def detached_component(t: RootedTree, removed: Edge) -> tuple[Vertex, ...]:
     return tuple(comp)
 
 
-def _check_move(t: RootedTree, add: Edge, remove: Edge) -> tuple[tuple[Vertex, ...], Vertex, Vertex]:
-    """Validate an exchange and return (component, inner, outer) where
-    ``inner`` is the added edge's endpoint inside the detached component."""
+def _swapped(t: RootedTree, add: Edge, remove: Edge) -> RootedTree:
+    """The tree after exchanging ``remove`` for ``add``, rooted afresh.
+    The exchange is valid iff ``add`` is a cotree edge and ``remove`` a tree
+    edge whose loss the new edge reconnects, i.e. one on its fundamental
+    path."""
     add = canonical_edge(*add)
     remove = canonical_edge(*remove)
     if add not in t.graph.edge_set:
         raise ValueError(f"{add} is not an edge of the graph")
     if add in t.tree_edges:
         raise ValueError(f"{add} is a tree edge, not a cotree edge")
-    ru, rv = remove
     if remove not in t.tree_edges:
         raise ValueError(f"{remove} is not a tree edge")
-    child = ru if t.depth[ru] > t.depth[rv] else rv
-    a, b = add
-    a_inside = is_ancestor(t, child, a)
-    b_inside = is_ancestor(t, child, b)
-    if a_inside == b_inside:
+    swapped = _root(t.graph, (t.tree_edges - {remove}) | {add}, t.root)
+    if swapped is None:
         raise ValueError(
             f"removed edge {remove} is not on the fundamental path of {add}"
         )
-    inner, outer = (a, b) if a_inside else (b, a)
-    return detached_component(t, remove), inner, outer
-
-
-def _reroot_component(
-    t: RootedTree, comp: tuple[Vertex, ...], inner: Vertex, outer: Vertex
-) -> tuple[dict[Vertex, Vertex], dict[Vertex, int]]:
-    """Re-hang the detached component from ``outer`` through ``inner``;
-    returns the new parent and depth assignments for component vertices."""
-    comp_set = set(comp)
-    new_parent: dict[Vertex, Vertex] = {inner: outer}
-    new_depth: dict[Vertex, int] = {inner: t.depth[outer] + 1}
-    queue = deque([inner])
-    while queue:
-        x = queue.popleft()
-        p = t.parent[x]
-        neighbors = list(t.children[x])
-        if p is not None:
-            neighbors.append(p)
-        for w in neighbors:
-            if w in comp_set and w not in new_depth:
-                new_depth[w] = new_depth[x] + 1
-                new_parent[w] = x
-                queue.append(w)
-    return new_parent, new_depth
+    return swapped
 
 
 def delta_potential(t: RootedTree, add: Edge, remove: Edge) -> int:
     """Potential change of exchanging ``remove`` for ``add``, without
-    mutating the tree; only the detached component is re-rooted."""
-    comp, inner, outer = _check_move(t, add, remove)
-    _, new_depth = _reroot_component(t, comp, inner, outer)
-    return sum(new_depth.values()) - sum(t.depth[v] for v in comp)
+    mutating the tree."""
+    return potential(_swapped(t, add, remove)) - potential(t)
 
 
 def apply_swap(t: RootedTree, move: SwapMove) -> RootedTree:
-    """Spanning tree after the exchange; parent and depth maps are
-    recomputed for exactly the detached component."""
-    comp, inner, outer = _check_move(t, move.added, move.removed)
-    new_parent, new_depth = _reroot_component(t, comp, inner, outer)
-    parent = list(t.parent)
-    depth = list(t.depth)
-    for v in comp:
-        parent[v] = new_parent[v]
-        depth[v] = new_depth[v]
-    return RootedTree(t.graph, t.root, tuple(parent), tuple(depth))
+    """Spanning tree after the exchange."""
+    return _swapped(t, move.added, move.removed)

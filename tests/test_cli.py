@@ -227,6 +227,8 @@ class TestVerify:
             lambda d: d["signs"].update({"0-5": "+"}),
             lambda d: d["signs"].update({"2-1": "+"}),
             lambda d: d["signs"].update({"0-2": "zero"}),
+            lambda d: d["signs"].update({"0-02": "+" if d["signs"]["0-2"] == "-" else "-"}),
+            lambda d: d["signs"].update({" 0-2": d["signs"].pop("0-2")}),
             lambda d: d["signs"].pop("0-2"),
             lambda d: d["tree"]["edges"].append([0, 1]),
             lambda d: d.pop("tree"),

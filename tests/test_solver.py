@@ -12,6 +12,7 @@ from treesign import (
     bfs_tree,
     cotree_edges,
     delta_potential,
+    detached_component,
     find_improving_swap,
     fundamental_path,
     gnp_graph,
@@ -27,6 +28,7 @@ from treesign import (
 from treesign.oracle import enumerate_connected_graphs, enumerate_spanning_trees
 from treesign.solver import (
     _monotone_spanning_tree_restart,
+    _path_gains,
     candidate_deltas,
     falsification_instance,
 )
@@ -100,7 +102,8 @@ class TestFindImprovingSwap:
     def test_best_removal_is_at_the_top(self):
         """The ascent relies on this: the best exchange removes one of the
         two path edges at the top, on every non-monotone path of every
-        spanning tree of every connected graph with n <= 5."""
+        spanning tree of every connected graph with n <= 5. There the
+        ascent's closed-form gains also equal the re-rooted reference's."""
         paths = 0
         for n in range(3, 6):
             for g in enumerate_connected_graphs(n):
@@ -110,6 +113,13 @@ class TestFindImprovingSwap:
                             path = fundamental_path(t, e)
                             top = min(path, key=t.depth.__getitem__)
                             assert top in find_improving_swap(t, e).removed
+                            sizes = [
+                                n if p is None else len(detached_component(t, (v, p)))
+                                for v, p in enumerate(t.parent)
+                            ]
+                            assert _path_gains(path, t.depth, sizes)[1] == [
+                                d for _, d in candidate_deltas(t, e)
+                            ]
                             paths += 1
         assert paths == 9865
 
