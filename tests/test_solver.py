@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -10,6 +12,7 @@ from treesign import (
     SwapMove,
     assign_signs,
     bfs_tree,
+    canonical_edge,
     cotree_edges,
     delta_potential,
     detached_component,
@@ -26,7 +29,10 @@ from treesign import (
     verify_monotone,
 )
 from treesign.oracle import enumerate_connected_graphs, enumerate_spanning_trees
+import treesign.solver
 from treesign.solver import (
+    VerificationReport,
+    Violation,
     _monotone_spanning_tree_restart,
     _path_gains,
     candidate_deltas,
@@ -48,6 +54,26 @@ def assert_matches_restart_reference(g, root):
     assert t.depth == ref_t.depth
     assert t.tree_edges == ref_t.tree_edges
     return trace
+
+
+def walking_verifier(t, phi):
+    """Reference alternation check: walk every cotree edge's whole
+    fundamental path and report its first pair of equal signs."""
+    violations = []
+    for e in cotree_edges(t):
+        path = fundamental_path(t, e)
+        signs = [phi[canonical_edge(path[j], path[j + 1])] for j in range(len(path) - 1)]
+        for j in range(len(signs) - 1):
+            if signs[j] is signs[j + 1]:
+                violations.append(Violation(e, path, j, "alternation"))
+                break
+    return VerificationReport(ok=not violations, violations=tuple(violations))
+
+
+def assert_matches_walking_verifier(g, t, phi):
+    report = verify_alternating(g, t, phi)
+    assert report == walking_verifier(t, phi)
+    return report
 
 
 class TestSign:
@@ -272,6 +298,105 @@ class TestVerifyAlternating:
         full = {(0, 1): Sign.PLUS, (0, 2): Sign.MINUS, (1, 2): Sign.PLUS}
         with pytest.raises(ValueError, match="non-tree edges"):
             verify_alternating(K3, t, full)
+        with pytest.raises(
+            ValueError,
+            match=r"unlabeled tree edges \[\(0, 2\)\]; labels for non-tree edges \[\(2, 0\)\]$",
+        ):
+            verify_alternating(K3, t, {(0, 1): Sign.PLUS, (2, 0): Sign.MINUS})
+        with pytest.raises(
+            ValueError,
+            match=r"unlabeled tree edges \[\(0, 2\)\]; labels for non-tree edges \[\(1, 2\)\]$",
+        ):
+            verify_alternating(K3, t, {(0, 1): Sign.PLUS, (1, 2): Sign.MINUS})
+
+    def test_matches_walking_verifier_exhaustively(self):
+        # Every connected graph with n <= 4, spanning tree, root and labeling.
+        cases = failing = 0
+        for n in range(1, 5):
+            for g in enumerate_connected_graphs(n):
+                for root in range(n):
+                    for t in enumerate_spanning_trees(g, root):
+                        edges = t.sorted_edges()
+                        for signs in itertools.product(list(Sign), repeat=len(edges)):
+                            report = assert_matches_walking_verifier(g, t, dict(zip(edges, signs)))
+                            cases += 1
+                            failing += not report.ok
+        assert (cases, failing) == (4173, 2450)
+
+    @given(rooted_connected_graphs(max_n=14), st.data())
+    @settings(max_examples=200)
+    def test_matches_walking_verifier_on_random_trees(self, case, data):
+        g, root = case
+        # Kruskal over a random edge order gives a random spanning tree.
+        comp = list(range(g.n))
+
+        def find(x):
+            while comp[x] != x:
+                x = comp[x]
+            return x
+
+        edges = []
+        for u, v in data.draw(st.permutations(g.edges)):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                comp[ru] = rv
+                edges.append((u, v))
+        t = tree_from_edges(g, edges, root)
+        kind = data.draw(st.sampled_from(["random", "parity", "parity with one flip"]))
+        if kind == "random":
+            m = len(edges)
+            signs = data.draw(st.lists(st.sampled_from(Sign), min_size=m, max_size=m))
+            phi = dict(zip(t.sorted_edges(), signs))
+        else:
+            phi = assign_signs(t)
+            if kind == "parity with one flip" and phi:
+                e = data.draw(st.sampled_from(t.sorted_edges()))
+                phi[e] = phi[e].flipped()
+        assert_matches_walking_verifier(g, t, phi)
+
+    def test_passing_edges_walk_no_path(self, monkeypatch):
+        # The pass/fail decision walks no tree path; only failing edges do.
+        n = 3000
+        path_edges = [(v, v + 1) for v in range(n - 1)]
+        g, _ = make_graph(n, path_edges + [(0, k) for k in range(2, n, 100)])
+        deep = tree_from_edges(g, path_edges, 0)
+        instances = [(g, deep)]
+        for family, params, root in [
+            ("complete", (6,), 0),
+            ("grid", (4, 5), 7),
+            ("hypercube", (4,), 3),
+            ("cycle", (9,), 4),
+        ]:
+            h = named_graph(family, params)
+            instances.append((h, solve(h, root).tree))
+        h = gnp_graph(40, 0.2, seed=3)
+        instances.append((h, solve(h).tree))
+
+        calls = []
+        for name in ("fundamental_path", "tree_path"):
+            real = getattr(treesign.solver, name)
+
+            def counted(*args, real=real):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(treesign.solver, name, counted)
+        for h, t in instances:
+            phi = assign_signs(t)
+            assert verify_alternating(h, t, phi).ok
+            assert calls == []
+            e = t.sorted_edges()[len(phi) * 5 // 6]
+            phi[e] = phi[e].flipped()
+            report = verify_alternating(h, t, phi)
+            assert len(calls) == len(report.violations)
+            calls.clear()
+
+        phi = assign_signs(deep)
+        phi[(2500, 2501)] = phi[(2500, 2501)].flipped()
+        report = verify_alternating(g, deep, phi)
+        assert [v.cotree_edge for v in report.violations] == [(0, k) for k in range(2502, n, 100)]
+        assert {v.index for v in report.violations} == {2499}
+        assert len(calls) == 5
 
 
 class TestVerifyMonotone:
