@@ -8,13 +8,15 @@ list such as ``path,cycle,complete``). Every bench row times one
 ``solve()``, verification included.
 
 Exit codes: 0 success; 1 verification failure (verify); 2 unreadable or
-malformed input, bad arguments; 3 disconnected input graph; 4 internal
+malformed input, an unreadable or unwritable path (missing, a directory,
+no permission), bad arguments; 3 disconnected input graph; 4 internal
 verification failure; 5 falsification (a non-monotone fundamental path
 with no improving exchange, or a failed oracle check — never expected).
 
-Reports are canonical JSON (schema_version 2): sorted keys, sorted edge
-lists, "\\n" line ends. Identical inputs give byte-identical reports
-except for the timing_ms field.
+Reports are canonical JSON (schema_version 2): the bytes of
+``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline, with
+sorted edge lists. Identical inputs give byte-identical reports except for
+the timing_ms field.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .graphs import (
@@ -59,7 +62,45 @@ EXIT_FALSIFIED = 5
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline.
+
+    CPython's C encoder runs only without ``indent``, so the bytes are
+    written here, specialised to the shapes of the reports: dicts with
+    ``str`` keys, lists of ints and lists of [int, int] pairs. Any other
+    value is handed to ``json.dumps`` itself.
+    """
+    return _dump(doc, "\n") + "\n"
+
+
+def _dump(x, nl: str) -> str:
+    """``x`` as json.dumps(x, sort_keys=True, indent=2) writes it when it
+    starts a line indented by ``nl`` (a newline and the indent)."""
+    if type(x) is int:
+        return str(x)
+    if isinstance(x, (list, dict)) and not x:
+        return "[]" if isinstance(x, list) else "{}"
+    inner = nl + "  "
+    if isinstance(x, dict) and all(type(k) is str for k in x):
+        keys = sorted(x)
+        values = [x[k] for k in keys]
+        if all(type(v) is str for v in values):
+            body = [_quote(k) + ": " + _quote(v) for k, v in zip(keys, values)]
+        else:
+            body = [_quote(k) + ": " + _dump(v, inner) for k, v in zip(keys, values)]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    if isinstance(x, list):
+        if all(type(v) is int for v in x):
+            body = map(str, x)
+        elif all(
+            type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int for v in x
+        ):
+            deeper = inner + "  "
+            body = [f"[{deeper}{a},{deeper}{b}{inner}]" for a, b in x]
+        else:
+            body = [_dump(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    # Byte-exact: a JSON text holds no raw newline outside its layout.
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _read_text(path: str) -> str:
@@ -105,7 +146,8 @@ def _edge_json(e: Edge) -> list[int]:
 
 
 def _signs_json(signs: SignLabeling) -> dict[str, str]:
-    return {f"{u}-{v}": signs[(u, v)].value for u, v in sorted(signs)}
+    # _value_ is the member's value without the Enum.value descriptor.
+    return {f"{u}-{v}": s._value_ for (u, v), s in signs.items()}
 
 
 def _failures_json(violations) -> list[dict]:
@@ -473,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except EnumerationLimitError as exc:

@@ -31,7 +31,6 @@ from .trees import (
     fundamental_path,
     monotone_report,
     potential,
-    require_connected,
     tree_path,
 )
 
@@ -368,11 +367,12 @@ def _monotone_spanning_tree_restart(g: Graph, root: Vertex = 0) -> tuple[RootedT
 def assign_signs(t: RootedTree) -> SignLabeling:
     """Label every tree edge by the parity of its deeper endpoint's depth:
     plus when even, minus when odd. Well-defined on any rooted tree."""
-    signs: SignLabeling = {}
-    for u, v in t.sorted_edges():
-        deeper = max(t.depth[u], t.depth[v])
-        signs[(u, v)] = Sign.PLUS if deeper % 2 == 0 else Sign.MINUS
-    return signs
+    depth = t.depth
+    plus, minus = Sign.PLUS, Sign.MINUS
+    return {
+        (u, v): minus if (depth[u] if depth[u] > depth[v] else depth[v]) % 2 else plus
+        for u, v in t.sorted_edges()
+    }
 
 
 @dataclass(frozen=True)
@@ -521,9 +521,10 @@ def solve(g: Graph, root: Vertex = 0) -> Solution:
     Composes monotone_spanning_tree and assign_signs, then verifies the
     labeling. The verification cannot fail (monotone paths make the parity
     labels alternate); it is returned, not raised, and every caller treats
-    a failed ``solution.verification`` as an internal error.
+    a failed ``solution.verification`` as an internal error. A disconnected
+    graph raises DisconnectedGraphError from the initial breadth-first
+    search (bfs_tree).
     """
-    require_connected(g)
     tree, trace = monotone_spanning_tree(g, root)
     signs = assign_signs(tree)
     return Solution(tree, signs, trace, verify_alternating(g, tree, signs))

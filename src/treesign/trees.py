@@ -26,21 +26,29 @@ class DisconnectedGraphError(ValueError):
 
 def require_connected(g: Graph) -> None:
     """Raise DisconnectedGraphError for a disconnected graph, naming the
-    component count and suggesting per-component runs. Fewer than n - 1
-    edges cannot connect n vertices; that is refused before the O(n)
-    component listing, so a huge declared vertex count costs nothing."""
+    component count and suggesting per-component runs."""
+    _require_enough_edges(g)
+    comps = connected_components(g)
+    if len(comps) > 1:
+        raise _disconnected(comps)
+
+
+def _require_enough_edges(g: Graph) -> None:
+    """Fewer than n - 1 edges cannot connect n vertices. That is refused
+    before any O(n) work, so a huge declared vertex count costs nothing."""
     if g.m < g.n - 1:
         raise DisconnectedGraphError(
             f"graph is not connected: {g.n} vertices need at least {g.n - 1} "
             f"edges, got {g.m}; solve each component separately"
         )
-    comps = connected_components(g)
-    if len(comps) > 1:
-        sizes = ", ".join(str(len(c)) for c in comps)
-        raise DisconnectedGraphError(
-            f"graph is not connected: {len(comps)} components (sizes {sizes}); "
-            "solve each component separately"
-        )
+
+
+def _disconnected(comps: list[list[Vertex]]) -> DisconnectedGraphError:
+    sizes = ", ".join(str(len(c)) for c in comps)
+    return DisconnectedGraphError(
+        f"graph is not connected: {len(comps)} components (sizes {sizes}); "
+        "solve each component separately"
+    )
 
 
 @dataclass(frozen=True)
@@ -71,8 +79,15 @@ class RootedTree:
                 kids[p].append(v)
         return tuple(tuple(k) for k in kids)
 
+    @cached_property
+    def _sorted_edges(self) -> tuple[Edge, ...]:
+        return tuple(
+            sorted([(v, p) if v < p else (p, v) for v, p in enumerate(self.parent) if p is not None])
+        )
+
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.tree_edges))
+        """Tree edges in lexicographic order, sorted once per tree."""
+        return self._sorted_edges
 
 
 def _bfs(
@@ -103,13 +118,14 @@ def bfs_tree(g: Graph, root: Vertex) -> RootedTree:
     """Breadth-first spanning tree; depths equal graph distance from root.
 
     Neighbors are explored in sorted order, so the result is deterministic.
-    Raises DisconnectedGraphError when some vertex is unreachable.
+    Raises DisconnectedGraphError when some vertex is unreachable, naming
+    the component sizes as require_connected does; the search itself
+    decides connectivity, and the components are listed only on failure.
     """
+    _require_enough_edges(g)
     parent, depth, reached = _bfs(g.adjacency, root)
     if reached != g.n:
-        raise DisconnectedGraphError(
-            f"graph is not connected: reached {reached} of {g.n} vertices from {root}"
-        )
+        raise _disconnected(connected_components(g))
     return RootedTree(g, root, tuple(parent), tuple(depth))
 
 

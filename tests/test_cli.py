@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from treesign import emit_edge_list, exhaustive_check, gnp_graph, named_graph, solver
-from treesign.cli import BenchConfig, main, parse_sizes, run_bench
+from treesign.cli import BenchConfig, canonical_json, main, parse_sizes, run_bench
 
 P4_TEXT = "4\n0 1\n1 2\n2 3\n"
 K3_TEXT = "3\n0 1\n0 2\n1 2\n"
@@ -62,6 +62,48 @@ GRAPH_BYTES = (
     | st.binary(max_size=60)
     | st.lists(GRAPH_LINES, max_size=8).map(lambda lines: "\n".join(lines).encode())
 )
+
+
+# Documents for the writer's byte-equality test: the shapes reports are made
+# of, nested, and arbitrary JSON values, including the ones json.dumps alone
+# writes (floats with NaN, bools, None, any text, non-str keys) and deep
+# nesting.
+INTS = st.integers(-(2**70), 2**70)
+PAIRS = st.lists(st.lists(INTS, min_size=2, max_size=2), max_size=4)
+REPORT_PARTS = (
+    st.lists(INTS, max_size=5)
+    | PAIRS
+    | st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=4)
+    | st.fixed_dictionaries({"add": PAIRS, "remove": PAIRS, "delta": INTS})
+    | st.fixed_dictionaries(
+        {
+            "cotree_edge": st.lists(INTS, min_size=2, max_size=2),
+            "path": st.lists(INTS, max_size=5),
+            "index": INTS,
+            "failed": st.text(max_size=4),
+        }
+    )
+    | st.sampled_from([[], {}])
+)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | INTS | st.floats() | st.text(max_size=6) | REPORT_PARTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3) | st.floats() | st.booleans(), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+def nested(x, levels: int):
+    for level in range(levels):
+        x = [x] if level % 2 else {"k": x}
+    return x
+
+
+def assert_canonical(text: str) -> None:
+    """``text`` is what json.dumps(sort_keys=True, indent=2) writes for the
+    value it holds, plus a final newline."""
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def report_of(capsys):
@@ -173,6 +215,17 @@ class TestSolve:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.edges")]) == 2
+        # A directory cannot be read or written as a file: exit 2, no traceback.
+        graph = write(tmp_path, "k3.edges", K3_TEXT)
+        for argv in (
+            ["solve", str(tmp_path)],
+            ["solve", graph, "--json", str(tmp_path)],
+            ["verify", graph, str(tmp_path)],
+            ["oracle", "--n", "3", "--jsonl", str(tmp_path)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert "error:" in capsys.readouterr().err, argv
 
     @given(data=GRAPH_BYTES, fmt=st.sampled_from(["edgelist", "dimacs"]))
     @settings(max_examples=300)
@@ -185,10 +238,28 @@ class TestSolve:
         path = write(tmp_path, "split.edges", "4\n0 1\n2 3\n")
         assert main(["solve", path]) == 3
         assert "not connected" in capsys.readouterr().err
+        # enough edges for a tree, so the search finds the missed vertices
+        path = write(tmp_path, "split5.edges", "5\n0 1\n0 2\n1 2\n3 4\n")
+        assert main(["solve", path]) == 3
+        assert "not connected: 2 components (sizes 3, 2)" in capsys.readouterr().err
         # refused from the edge count, before any per-vertex work
         path = write(tmp_path, "huge.edges", "1000000000\n0 1\n")
         assert main(["solve", path]) == 3
         assert "1000000000 vertices need at least 999999999 edges, got 1" in capsys.readouterr().err
+
+
+class TestCanonicalJson:
+    @given(doc=ANY_JSON | st.builds(nested, ANY_JSON, st.integers(0, 40)))
+    @settings(max_examples=300)
+    def test_bytes_equal_json_dumps(self, doc):
+        assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_solve_reports(self, tmp_path, capsys):
+        for g in (gnp_graph(30, 0.3, 1), named_graph("grid", (3, 4)), named_graph("complete", (7,))):
+            graph = write(tmp_path, "g.edges", emit_edge_list(g))
+            out = tmp_path / "report.json"
+            assert main(["solve", graph, "--json", str(out)]) == 0
+            assert_canonical(out.read_text())
 
 
 class TestVerify:
@@ -217,6 +288,7 @@ class TestVerify:
             ],
             "ok": False,
         }
+        assert_canonical(out)
         assert "cotree edge 0-1: equal signs at path index 0" in err
 
     def test_rejects_contract_violations(self, tmp_path, capsys):
@@ -399,8 +471,9 @@ class TestInternalFailure:
         out = tmp_path / "reports.jsonl"
         assert main(["oracle", "--input", k3, "--jsonl", str(out)]) == 5
         assert json.loads(out.read_text())["ok"] is False
-        witness = json.loads((tmp_path / "reports.jsonl.witness.json").read_text())
-        assert witness["failing"][0]["witness"]["check"] == "solve_agrees"
+        witness_text = (tmp_path / "reports.jsonl.witness.json").read_text()
+        assert json.loads(witness_text)["failing"][0]["witness"]["check"] == "solve_agrees"
+        assert_canonical(witness_text)
 
     def test_solve_writes_the_report_and_exits_4(self, tmp_path, capsys):
         k3 = write(tmp_path, "k3.edges", K3_TEXT)
