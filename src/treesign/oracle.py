@@ -5,6 +5,12 @@ an exact integer determinant, and checked exhaustively: the potential-
 maximal trees and every exchange-local-maximal tree must have all
 fundamental paths monotone, and the solver's output must verify. Any
 failed check is serialized as a witness; none is expected to exist.
+
+The checks are definitional: an exchange is priced by rooting the
+exchanged tree afresh (delta_potential), never by the ascent's closed
+form. The enumerator roots each edge set it built once, and the
+local-maximum check probes each non-monotone path's valley edges before
+it searches every exchange.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from .trees import (
     cotree_edges,
     cotree_path_is_monotone,
     delta_potential,
-    fundamental_path,
     potential,
     require_connected,
-    tree_from_edges,
+    root_edges,
+    tree_path,
 )
 
 DEFAULT_TREE_CAP = 1_000_000
@@ -65,14 +71,16 @@ def enumerate_spanning_trees(
     when including an edge would close a cycle or when excluding it
     disconnects what remains. Intended for small graphs; raises
     EnumerationLimitError past ``max_trees`` trees.
+
+    Each edge set is n - 1 distinct graph edges joined without a cycle by
+    construction, so it is rooted by root_edges without tree_from_edges'
+    re-validation; an edge set that fails to span is an enumerator bug
+    and raises AssertionError.
     """
     require_connected(g)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
     n = g.n
-    if n == 1:
-        yield tree_from_edges(g, (), root)
-        return
     edges = g.edges
     yielded = 0
 
@@ -84,7 +92,10 @@ def enumerate_spanning_trees(
                 raise EnumerationLimitError(
                     f"more than {max_trees} spanning trees; raise max_trees to enumerate"
                 )
-            yield tree_from_edges(g, chosen, root)
+            t = root_edges(g, chosen, root)
+            if t is None:
+                raise AssertionError(f"enumerated edge set {chosen} does not span the graph")
+            yield t
             return
         if len(edges) - idx < ncomp - 1:
             return
@@ -185,12 +196,31 @@ def max_potential_tree(
 
 def _admits_improving_swap(t: RootedTree) -> bool:
     """Is there any cotree edge and any removal on its fundamental path
-    that strictly increases the potential?"""
-    for e in cotree_edges(t):
-        path = fundamental_path(t, e)
+    that strictly increases the potential?
+
+    Every candidate is priced by delta_potential, which roots the exchanged
+    tree afresh; no closed form is used. Each non-monotone path's two edges
+    at its valley (the endpoints' common ancestor) are probed first: on
+    every spanning tree with n <= 5, at every root, the first of them
+    improves. Only when no valley probe improves is every candidate
+    searched, so the answer is always that of the full search.
+    """
+    parent, depth = t.parent, t.depth
+    cotree = cotree_edges(t)
+    for a, b in cotree:
+        path = tree_path(parent, depth, a, b)
+        # The path falls from a to the common ancestor at index i, then
+        # rises to b; it is monotone iff i is an end.
+        i = (len(path) - 1 + depth[a] - depth[b]) // 2
+        if 0 < i < len(path) - 1 and (
+            delta_potential(t, (a, b), canonical_edge(path[i - 1], path[i])) >= 1
+            or delta_potential(t, (a, b), canonical_edge(path[i], path[i + 1])) >= 1
+        ):
+            return True
+    for e in cotree:
+        path = tree_path(parent, depth, *e)
         for j in range(len(path) - 1):
-            removed = canonical_edge(path[j], path[j + 1])
-            if delta_potential(t, e, removed) >= 1:
+            if delta_potential(t, e, canonical_edge(path[j], path[j + 1])) >= 1:
                 return True
     return False
 

@@ -5,9 +5,10 @@ array-backed parent and depth maps. The depth of a vertex is the length
 of its unique tree path from the root; the potential of a tree is the sum
 of all depths. Exchanging a cotree edge for an edge on its fundamental
 path yields another spanning tree. apply_swap and delta_potential root
-the exchanged edge set afresh, by the same breadth-first search as
-tree_from_edges, so they price a move by definition; the solver's ascent
-prices its moves in closed form instead and is tested against them.
+the exchanged edge set afresh through root_edges, the breadth-first
+rooting that tree_from_edges also uses, so they price a move by
+definition; the solver's ascent prices its moves in closed form instead
+and is tested against them.
 """
 
 from __future__ import annotations
@@ -143,15 +144,17 @@ def tree_from_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree
         raise ValueError(f"edge {missing} is not an edge of the graph")
     if len(edge_set) != g.n - 1:
         raise ValueError(f"a spanning tree of n={g.n} needs {g.n - 1} edges, got {len(edge_set)}")
-    t = _root(g, edge_set, root)
+    t = root_edges(g, edge_set, root)
     if t is None:
         raise ValueError("edges do not span the graph")
     return t
 
 
-def _root(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree | None:
+def root_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree | None:
     """Breadth-first rooting of an edge set of ``g``; None when it does not
-    reach every vertex. The caller vouches for the edges being graph edges."""
+    reach every vertex. Nothing else is checked: the caller vouches that the
+    edges are n - 1 distinct graph edges, as tree_from_edges checks for
+    untrusted input."""
     neighbors: list[list[Vertex]] = [[] for _ in range(g.n)]
     for u, v in edges:
         neighbors[u].append(v)
@@ -168,8 +171,10 @@ def potential(t: RootedTree) -> int:
 
 
 def cotree_edges(t: RootedTree) -> tuple[Edge, ...]:
-    """Graph edges outside the tree, lexicographically sorted."""
-    return tuple(e for e in t.graph.edges if e not in t.tree_edges)
+    """Graph edges outside the tree, lexicographically sorted. An edge is a
+    tree edge iff one endpoint is the other's parent."""
+    parent = t.parent
+    return tuple((u, v) for u, v in t.graph.edges if parent[u] != v and parent[v] != u)
 
 
 def is_ancestor(t: RootedTree, anc: Vertex, desc: Vertex) -> bool:
@@ -300,13 +305,19 @@ def _swapped(t: RootedTree, add: Edge, remove: Edge) -> RootedTree:
     path."""
     add = canonical_edge(*add)
     remove = canonical_edge(*remove)
+    parent = t.parent
     if add not in t.graph.edge_set:
         raise ValueError(f"{add} is not an edge of the graph")
-    if add in t.tree_edges:
+    a, b = add
+    if parent[a] == b or parent[b] == a:
         raise ValueError(f"{add} is a tree edge, not a cotree edge")
-    if remove not in t.tree_edges:
+    u, v = remove
+    if remove not in t.graph.edge_set or (parent[u] != v and parent[v] != u):
         raise ValueError(f"{remove} is not a tree edge")
-    swapped = _root(t.graph, (t.tree_edges - {remove}) | {add}, t.root)
+    child = u if parent[u] == v else v
+    edges = [(x, p) for x, p in enumerate(parent) if p is not None and x != child]
+    edges.append(add)
+    swapped = root_edges(t.graph, edges, t.root)
     if swapped is None:
         raise ValueError(
             f"removed edge {remove} is not on the fundamental path of {add}"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -387,6 +388,22 @@ class TestOracle:
         k4 = write(tmp_path, "k4.edges", emit_edge_list(named_graph("complete", (4,))))
         assert main(["oracle", "--input", k4, "--max-trees", "5"]) == 2
         assert "more than 5" in capsys.readouterr().err
+
+    def test_disconnected_input(self, tmp_path, capsys):
+        path = write(tmp_path, "split5.edges", "5\n0 1\n0 2\n1 2\n3 4\n")
+        out = tmp_path / "reports.jsonl"
+        assert main(["oracle", "--input", path, "--jsonl", str(out)]) == 3
+        assert "not connected: 2 components (sizes 3, 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_small_sizes_digest(self, capsys):
+        # sha256 of the JSONL for every connected graph on 2 to 4 vertices
+        assert main(["oracle", "--n", "2..4", "--root", "0"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 43
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "aab7485e4c7c9dcc9f18d12bfe681f62b3f0eee99c00b67d142b306db9f3cdb6"
+        )
 
 
 class TestBench:

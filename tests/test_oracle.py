@@ -6,21 +6,47 @@ from treesign import (
     DisconnectedGraphError,
     EnumerationLimitError,
     OracleReport,
+    canonical_edge,
+    cotree_edges,
     count_spanning_trees,
+    delta_potential,
     enumerate_connected_graphs,
     enumerate_spanning_trees,
     exhaustive_check,
+    fundamental_path,
     make_graph,
     max_potential_tree,
     named_graph,
     potential,
+    tree_from_edges,
 )
-from treesign.oracle import _integer_determinant
+from treesign import oracle
+from treesign.oracle import _admits_improving_swap, _integer_determinant
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
 P4 = named_graph("path", (4,))
 C4 = named_graph("cycle", (4,))
+
+
+def small_rooted_graphs():
+    """Every connected labeled graph with n <= 5, at roots 0 and n - 1."""
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            for root in sorted({0, n - 1}):
+                yield g, root
+
+
+def admits_improving_swap_reference(t):
+    """The search without a probe order: every removal on every cotree
+    edge's fundamental path, in path order."""
+    for e in cotree_edges(t):
+        path = fundamental_path(t, e)
+        for j in range(len(path) - 1):
+            removed = canonical_edge(path[j], path[j + 1])
+            if delta_potential(t, e, removed) >= 1:
+                return True
+    return False
 
 
 class TestEnumeration:
@@ -58,6 +84,15 @@ class TestEnumeration:
         g, _ = make_graph(3, [(0, 1)])
         with pytest.raises(DisconnectedGraphError):
             list(enumerate_spanning_trees(g, 0))
+
+    def test_trees_match_validated_rooting(self):
+        checked = 0
+        for g, root in small_rooted_graphs():
+            for t in enumerate_spanning_trees(g, root):
+                ref = tree_from_edges(g, t.sorted_edges(), root)
+                assert (t.parent, t.depth, t.root) == (ref.parent, ref.depth, root)
+                checked += 1
+        assert checked == 1 + 2 * (1 + 6 + 128 + 8000)
 
 
 class TestCounting:
@@ -196,6 +231,38 @@ class TestExhaustiveCheck:
     @settings(max_examples=25)
     def test_random_small_graphs_conform(self, g):
         assert exhaustive_check(g, 0).ok
+
+
+class TestAdmitsImprovingSwap:
+    def test_matches_the_unordered_search_on_small_graphs(self):
+        admitting = 0
+        for g, root in small_rooted_graphs():
+            for t in enumerate_spanning_trees(g, root):
+                expected = admits_improving_swap_reference(t)
+                assert _admits_improving_swap(t) is expected, (g.edges, root, t.parent)
+                admitting += expected
+        assert admitting > 0
+
+    def test_matches_the_unordered_search_on_a_long_cycle(self, monkeypatch):
+        g = named_graph("cycle", (12,))
+        expected = [admits_improving_swap_reference(t) for t in enumerate_spanning_trees(g, 0)]
+        probes = []
+
+        def counted(t, add, remove):
+            probes.append(remove)
+            return delta_potential(t, add, remove)
+
+        monkeypatch.setattr(oracle, "delta_potential", counted)
+        results = []
+        for t in enumerate_spanning_trees(g, 0):
+            probes.clear()
+            results.append(_admits_improving_swap(t))
+            # The cotree edge's path runs through the root and improves at
+            # its first valley probe, unless the edge meets the root: then
+            # the path is monotone and all 11 removals are probed.
+            assert len(probes) == (1 if results[-1] else 11)
+        assert results == expected
+        assert results.count(True) == 10
 
 
 class TestConnectedGraphCorpus:

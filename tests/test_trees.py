@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, assume
 import hypothesis.strategies as st
@@ -226,6 +228,10 @@ class TestSwaps:
             delta_potential(t, (0, 1), (0, 2))
         with pytest.raises(ValueError, match="not an edge"):
             delta_potential(bfs_tree(P4, 0), (0, 3), (0, 1))
+        # a removal must be a tree edge; vertices outside the graph included
+        for remove in ((2, 3), (0, 9), (-1, 2)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(remove))} is not a tree edge$"):
+                delta_potential(t, (1, 2), remove)
 
     @given(rooted_connected_graphs(), st.data())
     def test_delta_matches_full_recomputation(self, case, data):
