@@ -271,7 +271,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = read_graph(args.graph, args.format)
     try:
         doc = json.loads(_read_text(args.solution))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json.loads recurses once per nesting level.
         raise ParseError(f"solution is not valid JSON: {exc}") from None
     tree, signs, _ = load_solution_document(g, doc)
     try:

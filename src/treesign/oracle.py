@@ -9,8 +9,8 @@ failed check is serialized as a witness; none is expected to exist.
 The checks are definitional: an exchange is priced by rooting the
 exchanged tree afresh (delta_potential), never by the ascent's closed
 form. The enumerator roots each edge set it built once, and the
-local-maximum check probes each non-monotone path's valley edges before
-it searches every exchange.
+local-maximum check walks each tree's fundamental paths once, probing
+each non-monotone path's valley edges before it searches every exchange.
 """
 
 from __future__ import annotations
@@ -19,16 +19,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graphs import Edge, Graph, Vertex, canonical_edge, graph_key, is_connected
-from .solver import solve
+from .solver import solve, verify_monotone
 from .trees import (
     RootedTree,
     cotree_edges,
-    cotree_path_is_monotone,
     delta_potential,
     potential,
     require_connected,
     root_edges,
     tree_path,
+    valley_index,
 )
 
 DEFAULT_TREE_CAP = 1_000_000
@@ -67,10 +67,12 @@ def enumerate_spanning_trees(
 ) -> Iterator[RootedTree]:
     """Yield every spanning tree of ``g`` exactly once, rooted at ``root``.
 
-    Backtracks over edge inclusion in lexicographic order; a branch is cut
-    when including an edge would close a cycle or when excluding it
-    disconnects what remains. Intended for small graphs; raises
-    EnumerationLimitError past ``max_trees`` trees.
+    Backtracks over edge inclusion in lexicographic order, including an
+    edge before excluding it, on an explicit stack, so the depth of the
+    search (one level per edge) is not bounded by Python's recursion
+    limit. A branch is cut when including an edge would close a cycle or
+    when excluding it disconnects what remains. Intended for small graphs;
+    raises EnumerationLimitError past ``max_trees`` trees.
 
     Each edge set is n - 1 distinct graph edges joined without a cycle by
     construction, so it is rooted by root_edges without tree_from_edges'
@@ -80,12 +82,14 @@ def enumerate_spanning_trees(
     require_connected(g)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
-    n = g.n
     edges = g.edges
     yielded = 0
-
-    def rec(idx: int, parent: list[int], ncomp: int, chosen: list[Edge]) -> Iterator[RootedTree]:
-        nonlocal yielded
+    # (next edge index, union-find parents, component count, chosen edges)
+    stack: list[tuple[int, list[int], int, tuple[Edge, ...]]] = [
+        (0, list(range(g.n)), g.n, ())
+    ]
+    while stack:
+        idx, parent, ncomp, chosen = stack.pop()
         if ncomp == 1:
             yielded += 1
             if yielded > max_trees:
@@ -94,23 +98,20 @@ def enumerate_spanning_trees(
                 )
             t = root_edges(g, chosen, root)
             if t is None:
-                raise AssertionError(f"enumerated edge set {chosen} does not span the graph")
+                raise AssertionError(f"enumerated edge set {list(chosen)} does not span the graph")
             yield t
-            return
+            continue
         if len(edges) - idx < ncomp - 1:
-            return
+            continue
+        # Pushed last, the inclusion branch is searched first.
+        if _spannable(parent, ncomp, edges, idx + 1):
+            stack.append((idx + 1, parent, ncomp, chosen))
         u, v = edges[idx]
         ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             child = parent.copy()
             child[ru] = rv
-            chosen.append(edges[idx])
-            yield from rec(idx + 1, child, ncomp - 1, chosen)
-            chosen.pop()
-        if _spannable(parent, ncomp, edges, idx + 1):
-            yield from rec(idx + 1, parent, ncomp, chosen)
-
-    yield from rec(0, list(range(n)), n, [])
+            stack.append((idx + 1, child, ncomp - 1, chosen + (edges[idx],)))
 
 
 def _integer_determinant(a: list[list[int]]) -> int:
@@ -194,39 +195,40 @@ def max_potential_tree(
     return _max_potential(enumerate_spanning_trees(g, root, max_trees))
 
 
-def _admits_improving_swap(t: RootedTree) -> bool:
-    """Is there any cotree edge and any removal on its fundamental path
-    that strictly increases the potential?
+def _nonconforming_local_max(t: RootedTree) -> bool:
+    """Does ``t`` have a non-monotone fundamental path and admit no strictly
+    improving exchange (a cotree edge and a removal on its fundamental
+    path)?
 
     Every candidate is priced by delta_potential, which roots the exchanged
-    tree afresh; no closed form is used. Each non-monotone path's two edges
-    at its valley (the endpoints' common ancestor) are probed first: on
-    every spanning tree with n <= 5, at every root, the first of them
-    improves. Only when no valley probe improves is every candidate
+    tree afresh; no closed form is used. One pass walks each cotree edge's
+    path and probes a non-monotone path's two edges at its valley (the
+    endpoints' common ancestor): on every spanning tree with n <= 5, at
+    every root, the first of them improves. A monotone tree answers False
+    without a probe. Only when no valley probe improves is every candidate
     searched, so the answer is always that of the full search.
     """
     parent, depth = t.parent, t.depth
     cotree = cotree_edges(t)
-    for a, b in cotree:
-        path = tree_path(parent, depth, a, b)
-        # The path falls from a to the common ancestor at index i, then
-        # rises to b; it is monotone iff i is an end.
-        i = (len(path) - 1 + depth[a] - depth[b]) // 2
-        if 0 < i < len(path) - 1 and (
-            delta_potential(t, (a, b), canonical_edge(path[i - 1], path[i])) >= 1
-            or delta_potential(t, (a, b), canonical_edge(path[i], path[i + 1])) >= 1
-        ):
-            return True
+    monotone = True
+    for e in cotree:
+        path = tree_path(parent, depth, *e)
+        i = valley_index(depth, path)
+        if 0 < i < len(path) - 1:
+            if (
+                delta_potential(t, e, canonical_edge(path[i - 1], path[i])) >= 1
+                or delta_potential(t, e, canonical_edge(path[i], path[i + 1])) >= 1
+            ):
+                return False
+            monotone = False
+    if monotone:
+        return False
     for e in cotree:
         path = tree_path(parent, depth, *e)
         for j in range(len(path) - 1):
             if delta_potential(t, e, canonical_edge(path[j], path[j + 1])) >= 1:
-                return True
-    return False
-
-
-def _all_paths_monotone(t: RootedTree) -> bool:
-    return all(cotree_path_is_monotone(t, e) for e in cotree_edges(t))
+                return False
+    return True
 
 
 def _tree_witness(t: RootedTree, check: str, detail: str) -> dict:
@@ -306,7 +308,7 @@ def exhaustive_check(
         nonlocal witness, tree_count, all_local_maxima_conform
         for t in enumerate_spanning_trees(g, root, max_trees):
             tree_count += 1
-            if not _all_paths_monotone(t) and not _admits_improving_swap(t):
+            if _nonconforming_local_max(t):
                 all_local_maxima_conform = False
                 if witness is None:
                     witness = _tree_witness(
@@ -318,7 +320,7 @@ def exhaustive_check(
 
     best, best_psi, max_count = _max_potential(each_tree())
     kirchhoff = count_spanning_trees(g)
-    global_max_conforms = _all_paths_monotone(best)
+    global_max_conforms = verify_monotone(g, best).ok
     if not global_max_conforms and witness is None:
         witness = _tree_witness(
             best, "global_max_conforms", "potential-maximal tree with a non-monotone path"

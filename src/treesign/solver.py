@@ -29,9 +29,9 @@ from .trees import (
     cotree_path_is_monotone,
     delta_potential,
     fundamental_path,
-    monotone_report,
     potential,
     tree_path,
+    valley_index,
 )
 
 
@@ -108,8 +108,8 @@ def _path_gains(
     """
     dep = [depth[v] for v in path]
     last = len(path) - 1
-    k = dep.index(min(dep))
-    if k == 0 or k == last:
+    k = valley_index(depth, path)
+    if not 0 < k < last:
         raise ValueError(
             f"fundamental path of {(path[0], path[last])} is monotone; nothing to improve"
         )
@@ -224,7 +224,7 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
 
     Queue invariant. Every cotree edge whose fundamental path is not
     monotone is queued; a pop re-tests its edge by walking the tree path
-    (a path is monotone iff one endpoint is an ancestor of the other), so
+    (a path is monotone iff its valley index is an end), so
     healed entries are dropped and the first violating pop is the
     lexicographically first violation. Initially every cotree edge is
     queued.
@@ -275,7 +275,7 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
         queued.remove(e)
         a, b = e
         path = tree_path(parent, depth, a, b)
-        if abs(depth[a] - depth[b]) == len(path) - 1:
+        if not 0 < valley_index(depth, path) < len(path) - 1:
             continue  # monotone: one endpoint is an ancestor of the other
         k, deltas = _path_gains(path, depth, size)
         j = _best_removal(
@@ -379,9 +379,9 @@ def assign_signs(t: RootedTree) -> SignLabeling:
 class Violation:
     """One failed check along a cotree edge's fundamental path.
 
-    ``index`` is the first offending position: for alternation, the first
-    j whose path edges j and j+1 carry equal signs; for monotonicity, the
-    first interior valley or peak.
+    ``index`` is the offending position: for alternation, the first j
+    whose path edges j and j+1 carry equal signs; for monotonicity, the
+    valley index (the endpoints' lowest common ancestor, see valley_index).
     """
 
     cotree_edge: Edge
@@ -496,14 +496,13 @@ def verify_alternating(g: Graph, t: RootedTree, phi: SignLabeling) -> Verificati
 
 def verify_monotone(g: Graph, t: RootedTree) -> VerificationReport:
     """Check that every cotree edge's fundamental path is strictly
-    monotone in depth; reports the first valley or peak per failing edge."""
+    monotone in depth; reports the valley index of each failing edge."""
     violations: list[Violation] = []
     for e in cotree_edges(t):
         path = fundamental_path(t, e)
-        report = monotone_report(t, path)
-        if not report.monotone:
-            first = min(report.valley_indices + report.peak_indices)
-            violations.append(Violation(e, path, first, "monotonicity"))
+        k = valley_index(t.depth, path)
+        if 0 < k < len(path) - 1:
+            violations.append(Violation(e, path, k, "monotonicity"))
     return VerificationReport(ok=not violations, violations=tuple(violations))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Edge, Graph, Vertex, canonical_edge, connected_components
 
@@ -177,28 +177,21 @@ def cotree_edges(t: RootedTree) -> tuple[Edge, ...]:
     return tuple((u, v) for u, v in t.graph.edges if parent[u] != v and parent[v] != u)
 
 
-def is_ancestor(t: RootedTree, anc: Vertex, desc: Vertex) -> bool:
-    """True iff ``anc`` lies on the tree path from the root to ``desc``."""
-    steps = t.depth[desc] - t.depth[anc]
-    if steps < 0:
-        return False
-    x = desc
-    for _ in range(steps):
-        x = t.parent[x]  # type: ignore[assignment]
-    return x == anc
-
-
 def cotree_path_is_monotone(t: RootedTree, e: Edge) -> bool:
     """True iff the fundamental path of ``e`` has strictly monotone depths.
 
     Depths along a tree path step by exactly 1, falling toward the two
     endpoints' lowest common ancestor and rising after it, so the path is
-    monotone exactly when one endpoint is an ancestor of the other.
+    monotone exactly when one endpoint is an ancestor of the other. Decided
+    by walking the deeper endpoint up, without building the path.
     """
     u, v = e
-    if t.depth[u] > t.depth[v]:
+    parent, depth = t.parent, t.depth
+    if depth[u] > depth[v]:
         u, v = v, u
-    return is_ancestor(t, u, v)
+    for _ in range(depth[v] - depth[u]):
+        v = parent[v]  # type: ignore[assignment]
+    return v == u
 
 
 def fundamental_path(t: RootedTree, e: Edge) -> tuple[Vertex, ...]:
@@ -209,9 +202,10 @@ def fundamental_path(t: RootedTree, e: Edge) -> tuple[Vertex, ...]:
     e = canonical_edge(*e)
     if e not in t.graph.edge_set:
         raise ValueError(f"{e} is not an edge of the graph")
-    if e in t.tree_edges:
+    a, b = e
+    if t.parent[a] == b or t.parent[b] == a:
         raise ValueError(f"{e} is a tree edge, not a cotree edge")
-    return tuple(tree_path(t.parent, t.depth, *e))
+    return tuple(tree_path(t.parent, t.depth, a, b))
 
 
 def tree_path(
@@ -238,37 +232,15 @@ def tree_path(
     return up_a
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    """Classification of the depth sequence along a tree path.
+def valley_index(depth: Sequence[int], path: Sequence[Vertex]) -> int:
+    """Index of the shallowest vertex of a tree path, given the tree's depth
+    map. The path is strictly monotone in depth iff this is an end.
 
-    Valleys are interior positions strictly below both neighbors, peaks
-    strictly above; the path is monotone iff both lists are empty.
+    A tree path a ... l ... b falls by 1 per step to the endpoints' lowest
+    common ancestor l and rises by 1 after it, so with l at index k,
+    depth(a) - depth(b) = k - (len(path) - 1 - k).
     """
-
-    monotone: bool
-    direction: Literal["increasing", "decreasing", "none"]
-    valley_indices: tuple[int, ...]
-    peak_indices: tuple[int, ...]
-
-
-def monotone_report(t: RootedTree, path: Sequence[Vertex]) -> MonotoneReport:
-    """Classify the depths of ``path``'s vertices (assumed a tree path)."""
-    d = [t.depth[v] for v in path]
-    valleys = tuple(
-        i for i in range(1, len(d) - 1) if d[i - 1] > d[i] < d[i + 1]
-    )
-    peaks = tuple(
-        i for i in range(1, len(d) - 1) if d[i - 1] < d[i] > d[i + 1]
-    )
-    monotone = not valleys and not peaks
-    direction: Literal["increasing", "decreasing", "none"] = "none"
-    if monotone and len(d) > 1:
-        if d[0] < d[-1]:
-            direction = "increasing"
-        elif d[0] > d[-1]:
-            direction = "decreasing"
-    return MonotoneReport(monotone, direction, valleys, peaks)
+    return (len(path) - 1 + depth[path[0]] - depth[path[-1]]) // 2
 
 
 @dataclass(frozen=True)
@@ -284,10 +256,11 @@ def detached_component(t: RootedTree, removed: Edge) -> tuple[Vertex, ...]:
     """Vertices cut off from the root when ``removed`` leaves the tree,
     i.e. the subtree under the removed edge's deeper endpoint."""
     removed = canonical_edge(*removed)
-    if removed not in t.tree_edges:
-        raise ValueError(f"{removed} is not a tree edge")
+    parent = t.parent
     u, v = removed
-    child = u if t.depth[u] > t.depth[v] else v
+    if removed not in t.graph.edge_set or (parent[u] != v and parent[v] != u):
+        raise ValueError(f"{removed} is not a tree edge")
+    child = u if parent[u] == v else v
     comp = [child]
     stack = [child]
     while stack:

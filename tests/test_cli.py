@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -278,7 +279,7 @@ class TestVerify:
 
     def test_flipped_sign_fails(self, tmp_path, capsys):
         graph, report = self.solve_to_file(tmp_path, capsys)
-        doc = json.loads(open(report).read())
+        doc = json.loads(Path(report).read_text())
         doc["signs"]["1-2"] = "-"
         broken = write(tmp_path, "broken.json", json.dumps(doc))
         assert main(["verify", graph, broken]) == 1
@@ -294,7 +295,7 @@ class TestVerify:
 
     def test_rejects_contract_violations(self, tmp_path, capsys):
         graph, report = self.solve_to_file(tmp_path, capsys)
-        base = json.loads(open(report).read())
+        base = json.loads(Path(report).read_text())
 
         for mutate in (
             lambda d: d["signs"].update({"0-5": "+"}),
@@ -346,6 +347,13 @@ class TestVerify:
         assert main(["verify", graph, bad]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # json.loads recurses once per level and gives up long before this.
+        graph = write(tmp_path, "k3.edges", K3_TEXT)
+        deep = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+        assert main(["verify", graph, deep]) == 2
+        assert "error: solution is not valid JSON" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_all_graphs_on_three_vertices(self, capsys):
@@ -388,6 +396,16 @@ class TestOracle:
         k4 = write(tmp_path, "k4.edges", emit_edge_list(named_graph("complete", (4,))))
         assert main(["oracle", "--input", k4, "--max-trees", "5"]) == 2
         assert "more than 5" in capsys.readouterr().err
+
+    def test_tree_cap_on_more_edges_than_the_recursion_limit(self, tmp_path, capsys):
+        # K_8 with a 1,000-vertex tail: the enumerator descends through all
+        # 1,028 edges before its first tree.
+        tail = [(v, v + 1) for v in range(7, 1007)]
+        k8 = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+        text = "1008\n" + "".join(f"{u} {v}\n" for u, v in k8 + tail)
+        lollipop = write(tmp_path, "lollipop.edges", text)
+        assert main(["oracle", "--input", lollipop, "--max-trees", "5"]) == 2
+        assert "more than 5 spanning trees" in capsys.readouterr().err
 
     def test_disconnected_input(self, tmp_path, capsys):
         path = write(tmp_path, "split5.edges", "5\n0 1\n0 2\n1 2\n3 4\n")

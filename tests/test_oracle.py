@@ -21,7 +21,8 @@ from treesign import (
     tree_from_edges,
 )
 from treesign import oracle
-from treesign.oracle import _admits_improving_swap, _integer_determinant
+from treesign.oracle import _integer_determinant, _nonconforming_local_max
+from treesign.trees import cotree_path_is_monotone
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -75,6 +76,11 @@ class TestEnumeration:
     def test_tree_cap(self):
         with pytest.raises(EnumerationLimitError, match="more than 5"):
             list(enumerate_spanning_trees(K4, 0, max_trees=5))
+
+    def test_more_edges_than_the_recursion_limit(self):
+        g = named_graph("path", (3000,))
+        (t,) = enumerate_spanning_trees(g, 0)
+        assert t.tree_edges == g.edge_set
 
     def test_bad_root(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -234,18 +240,25 @@ class TestExhaustiveCheck:
 
 
 class TestAdmitsImprovingSwap:
+    """The oracle's one-pass local-maximum check against its definition: a
+    non-monotone tree that admits no strictly improving exchange."""
+
     def test_matches_the_unordered_search_on_small_graphs(self):
-        admitting = 0
-        for g, root in small_rooted_graphs():
-            for t in enumerate_spanning_trees(g, root):
-                expected = admits_improving_swap_reference(t)
-                assert _admits_improving_swap(t) is expected, (g.edges, root, t.parent)
-                admitting += expected
-        assert admitting > 0
+        non_monotone = 0
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                for root in range(n):
+                    for t in enumerate_spanning_trees(g, root):
+                        monotone = all(cotree_path_is_monotone(t, e) for e in cotree_edges(t))
+                        expected = not monotone and not admits_improving_swap_reference(t)
+                        assert _nonconforming_local_max(t) is expected, (g.edges, root, t.parent)
+                        non_monotone += not monotone
+        assert non_monotone > 0
 
     def test_matches_the_unordered_search_on_a_long_cycle(self, monkeypatch):
         g = named_graph("cycle", (12,))
         expected = [admits_improving_swap_reference(t) for t in enumerate_spanning_trees(g, 0)]
+        assert expected.count(True) == 10
         probes = []
 
         def counted(t, add, remove):
@@ -253,16 +266,13 @@ class TestAdmitsImprovingSwap:
             return delta_potential(t, add, remove)
 
         monkeypatch.setattr(oracle, "delta_potential", counted)
-        results = []
-        for t in enumerate_spanning_trees(g, 0):
+        for t, admits in zip(enumerate_spanning_trees(g, 0), expected):
             probes.clear()
-            results.append(_admits_improving_swap(t))
+            assert _nonconforming_local_max(t) is False
             # The cotree edge's path runs through the root and improves at
             # its first valley probe, unless the edge meets the root: then
-            # the path is monotone and all 11 removals are probed.
-            assert len(probes) == (1 if results[-1] else 11)
-        assert results == expected
-        assert results.count(True) == 10
+            # the path is monotone and nothing is probed.
+            assert len(probes) == (1 if admits else 0)
 
 
 class TestConnectedGraphCorpus:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, assume
 import hypothesis.strategies as st
 
-from conftest import connected_graphs, rooted_connected_graphs
+from conftest import connected_graphs, rooted_connected_graphs, rooted_spanning_trees
 from treesign import (
     DisconnectedGraphError,
     SwapMove,
@@ -15,12 +15,11 @@ from treesign import (
     detached_component,
     fundamental_path,
     make_graph,
-    monotone_report,
     named_graph,
     potential,
     tree_from_edges,
 )
-from treesign.trees import cotree_path_is_monotone, is_ancestor
+from treesign.trees import cotree_path_is_monotone, valley_index
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -116,6 +115,10 @@ class TestFundamentalPath:
             fundamental_path(t, (0, 1))
         with pytest.raises(ValueError, match="not an edge"):
             fundamental_path(bfs_tree(P4, 0), (0, 3))
+        # vertices outside the graph are refused before the parent map is read
+        for e in ((0, 9), (-1, 2)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))} is not an edge of the graph$"):
+                fundamental_path(t, e)
 
     @given(rooted_connected_graphs())
     def test_path_properties(self, case):
@@ -131,53 +134,38 @@ class TestFundamentalPath:
 
 
 class TestMonotoneReport:
+    """How a tree path's shape is reported: valley_index names the path's
+    shallowest vertex, and the path is monotone iff that is an end."""
+
     def test_valley(self):
         t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
-        rep = monotone_report(t, fundamental_path(t, (1, 2)))
-        assert not rep.monotone
-        assert rep.valley_indices == (1,) and rep.peak_indices == ()
-        assert rep.direction == "none"
+        path = fundamental_path(t, (1, 2))
+        assert valley_index(t.depth, path) == 1
+        assert not cotree_path_is_monotone(t, (1, 2))
 
     def test_increasing(self):
         t = tree_from_edges(K4, [(0, 1), (1, 2), (2, 3)], 0)
-        rep = monotone_report(t, fundamental_path(t, (0, 3)))
-        assert rep.monotone and rep.direction == "increasing"
-        rep = monotone_report(t, (3, 2, 1, 0))
-        assert rep.monotone and rep.direction == "decreasing"
-
-    def test_peak_classification(self):
-        # synthetic vertex sequence; only the depth sequence matters here
-        t = bfs_tree(named_graph("path", (3,)), 0)
-        rep = monotone_report(t, (1, 2, 1))
-        assert not rep.monotone
-        assert rep.peak_indices == (1,) and rep.valley_indices == ()
+        assert valley_index(t.depth, fundamental_path(t, (0, 3))) == 0
+        assert valley_index(t.depth, (3, 2, 1, 0)) == 3
 
     def test_single_vertex_path(self):
         t = bfs_tree(P4, 0)
-        assert monotone_report(t, (2,)).monotone
+        assert valley_index(t.depth, (2,)) == 0
 
-    @given(rooted_connected_graphs())
-    def test_matches_fast_ancestor_test(self, case):
-        g, root = case
-        t = bfs_tree(g, root)
+    @given(rooted_spanning_trees())
+    def test_matches_fast_ancestor_test(self, t):
         for e in cotree_edges(t):
-            rep = monotone_report(t, fundamental_path(t, e))
-            assert rep.monotone == cotree_path_is_monotone(t, e)
+            path = fundamental_path(t, e)
+            k = valley_index(t.depth, path)
+            assert (k in (0, len(path) - 1)) == cotree_path_is_monotone(t, e)
 
-    @given(rooted_connected_graphs())
-    def test_peaks_never_occur_on_tree_paths(self, case):
-        g, root = case
-        t = bfs_tree(g, root)
+    @given(rooted_spanning_trees())
+    def test_peaks_never_occur_on_tree_paths(self, t):
         for e in cotree_edges(t):
-            assert monotone_report(t, fundamental_path(t, e)).peak_indices == ()
-
-
-class TestIsAncestor:
-    def test_basics(self):
-        t = tree_from_edges(K4, [(0, 3), (1, 2), (1, 3)], 0)
-        assert is_ancestor(t, 0, 2) and is_ancestor(t, 3, 1)
-        assert not is_ancestor(t, 1, 3)
-        assert is_ancestor(t, 2, 2)
+            path = fundamental_path(t, e)
+            k = valley_index(t.depth, path)
+            for i, v in enumerate(path):
+                assert t.depth[v] == t.depth[path[k]] + abs(i - k)
 
 
 class TestSwaps:
@@ -188,6 +176,9 @@ class TestSwaps:
         assert set(detached_component(t, (0, 3))) == {3, 1, 2}
         with pytest.raises(ValueError, match="not a tree edge"):
             detached_component(t, (0, 1))
+        for removed in ((0, 9), (-1, 2)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(removed))} is not a tree edge$"):
+                detached_component(t, removed)
 
     def test_delta_examples(self):
         t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
