@@ -206,6 +206,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_SIGNS = {"+": Sign.PLUS, "-": Sign.MINUS}
+
+
 def _parse_sign_key(key: str) -> Edge:
     """Edge named by a signs key. Only the plain decimal spelling 'u-v' is
     accepted, so no two keys can name one edge."""
@@ -257,13 +260,16 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
         tree = tree_from_edges(g, edges, root)
     except ValueError as exc:
         raise ParseError(f"tree does not fit the graph: {exc}") from None
+    # A key that names a tree edge is taken from the tree; any other key is
+    # parsed, and is then refused or becomes a label the verifier names.
+    tree_keys = {f"{u}-{v}": (u, v) for u, v in tree.sorted_edges()}
     signs: SignLabeling = {}
     for key, value in sign_rows.items():
-        edge = _parse_sign_key(key)
-        try:
-            signs[edge] = Sign(value)
-        except ValueError:
-            raise ParseError(f"unknown sign {value!r} for edge {key}") from None
+        edge = tree_keys.get(key) or _parse_sign_key(key)
+        sign = _SIGNS.get(value) if type(value) is str else None
+        if sign is None:
+            raise ParseError(f"unknown sign {value!r} for edge {key}")
+        signs[edge] = sign
     return tree, signs, root
 
 

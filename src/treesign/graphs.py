@@ -120,22 +120,16 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[Graph, Normali
     Loops are dropped and duplicate (or reversed duplicate) edges merged;
     the log reports how many of each.
     """
-    dropped = 0
-    seen: set[Edge] = set()
-    merged = 0
+    pairs = list(pairs)
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"vertex index out of range for n={n}: {u}-{v}")
-        if u == v:
-            dropped += 1
-            continue
-        e = canonical_edge(u, v)
-        if e in seen:
-            merged += 1
-        else:
-            seen.add(e)
-    graph = Graph(n, tuple(sorted(seen)))
-    return graph, NormalizationLog(dropped, merged)
+    canonical = [(u, v) if u < v else (v, u) for u, v in pairs if u != v]
+    # The sort is linear on sorted input and makes duplicates adjacent;
+    # dict.fromkeys drops them and keeps the order.
+    edges = tuple(dict.fromkeys(sorted(canonical)))
+    graph = Graph(n, edges)
+    return graph, NormalizationLog(len(pairs) - len(canonical), len(canonical) - len(edges))
 
 
 def is_connected(g: Graph) -> bool:
@@ -186,10 +180,9 @@ def parse_edge_list(text: str) -> tuple[Graph, NormalizationLog]:
     declared_n: int | None = None
     first_content = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if first_content and len(tokens) == 1:
             declared_n = _parse_index(tokens[0], lineno)
             first_content = False
@@ -197,8 +190,15 @@ def parse_edge_list(text: str) -> tuple[Graph, NormalizationLog]:
         first_content = False
         if len(tokens) != 2:
             raise ParseError("expected two vertex indices", lineno)
-        u = _parse_index(tokens[0], lineno)
-        v = _parse_index(tokens[1], lineno)
+        # Inline int() on the common path; _parse_index names a bad token.
+        try:
+            u = int(tokens[0])
+            v = int(tokens[1])
+        except ValueError:
+            u = v = -1
+        if u < 0 or v < 0:
+            u = _parse_index(tokens[0], lineno)
+            v = _parse_index(tokens[1], lineno)
         if declared_n is not None and (u >= declared_n or v >= declared_n):
             raise ParseError(
                 f"vertex index out of range for n={declared_n}", lineno
@@ -227,10 +227,9 @@ def parse_dimacs(text: str) -> tuple[Graph, NormalizationLog]:
     declared: tuple[int, int] | None = None
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("c"):
             continue
-        tokens = line.split()
         if tokens[0] == "p":
             if declared is not None:
                 raise ParseError("duplicate problem header", lineno)
@@ -242,8 +241,14 @@ def parse_dimacs(text: str) -> tuple[Graph, NormalizationLog]:
                 raise ParseError("edge descriptor before 'p edge' header", lineno)
             if len(tokens) != 3:
                 raise ParseError("malformed edge descriptor", lineno)
-            u = _parse_index(tokens[1], lineno)
-            v = _parse_index(tokens[2], lineno)
+            try:
+                u = int(tokens[1])
+                v = int(tokens[2])
+            except ValueError:
+                u = v = -1
+            if u < 0 or v < 0:
+                u = _parse_index(tokens[1], lineno)
+                v = _parse_index(tokens[2], lineno)
             n = declared[0]
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"vertex index out of range for n={n}", lineno)

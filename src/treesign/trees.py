@@ -8,7 +8,11 @@ path yields another spanning tree. apply_swap and delta_potential root
 the exchanged edge set afresh through root_edges, the breadth-first
 rooting that tree_from_edges also uses, so they price a move by
 definition; the solver's ascent prices its moves in closed form instead
-and is tested against them.
+and is tested against them. tree_from_edges roots an untrusted edge set
+first and accepts it from the parent map: n - 1 in-range pairs that reach
+every vertex are a tree, and it is a tree of the graph iff n - 1 graph
+edges join a vertex to its parent. Only a rejected set is checked as a
+set, to name its fault.
 """
 
 from __future__ import annotations
@@ -134,8 +138,26 @@ def tree_from_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree
     """Root the given spanning edge set at ``root``.
 
     Validates that the edges belong to the graph and form a spanning tree.
+    A set is accepted from its parent map: n - 1 in-range pairs that reach
+    every vertex from the root form a spanning tree, so they hold no loop
+    and no duplicate, and they are graph edges iff n - 1 edges of ``g``
+    join a vertex to its parent. Only a rejected set is canonicalised and
+    checked as a set, to name its first fault: a loop, a duplicate, an
+    edge outside the graph, the wrong count, or a set that does not span.
     """
-    edge_list = [canonical_edge(u, v) for u, v in edges]
+    pairs = list(edges)
+    n = g.n
+    if (
+        len(pairs) == n - 1
+        and 0 <= root < n
+        and all(0 <= u < n and 0 <= v < n for u, v in pairs)
+    ):
+        t = root_edges(g, pairs, root)
+        if t is not None:
+            parent = t.parent
+            if sum(1 for u, v in g.edges if parent[u] == v or parent[v] == u) == n - 1:
+                return t
+    edge_list = [canonical_edge(u, v) for u, v in pairs]
     edge_set = set(edge_list)
     if len(edge_set) != len(edge_list):
         raise ValueError("duplicate tree edges")
@@ -153,8 +175,9 @@ def tree_from_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree
 def root_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree | None:
     """Breadth-first rooting of an edge set of ``g``; None when it does not
     reach every vertex. Nothing else is checked: the caller vouches that the
-    edges are n - 1 distinct graph edges, as tree_from_edges checks for
-    untrusted input."""
+    endpoints are in range and that the edges are n - 1 distinct graph
+    edges, or, as tree_from_edges does for untrusted input, checks the
+    result's parent map against the graph."""
     neighbors: list[list[Vertex]] = [[] for _ in range(g.n)]
     for u, v in edges:
         neighbors[u].append(v)

@@ -341,6 +341,24 @@ class TestVerify:
         solution = write(work, "doc.json", json.dumps(doc))
         assert main(["verify", graph, solution]) in (0, 1, 2)
 
+    @given(value=JSON_VALUES)
+    def test_any_sign_value_exits_with_a_documented_code(self, tmp_path_factory, value):
+        work = tmp_path_factory.mktemp("fuzz")
+        graph = write(work, "k3.edges", K3_TEXT)
+        doc = json.loads(json.dumps(K3_REPORT))
+        doc["signs"]["0-2"] = value
+        solution = write(work, "doc.json", json.dumps(doc))
+        assert main(["verify", graph, solution]) in (0, 1, 2)
+
+    @given(key=st.text(max_size=6) | st.sampled_from(["0-2", "2-0", "0-1", "1-2", "0-3", "-1-2", "0--2"]))
+    def test_any_sign_key_exits_with_a_documented_code(self, tmp_path_factory, key):
+        work = tmp_path_factory.mktemp("fuzz")
+        graph = write(work, "k3.edges", K3_TEXT)
+        doc = json.loads(json.dumps(K3_REPORT))
+        doc["signs"][key] = doc["signs"].pop("0-2")
+        solution = write(work, "doc.json", json.dumps(doc))
+        assert main(["verify", graph, solution]) in (0, 1, 2)
+
     def test_malformed_json(self, tmp_path, capsys):
         graph = write(tmp_path, "k3.edges", K3_TEXT)
         bad = write(tmp_path, "bad.json", "not json {")

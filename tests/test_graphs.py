@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from conftest import connected_graphs
 from treesign import (
     Graph,
+    NormalizationLog,
     ParseError,
     canonical_edge,
     connected_components,
@@ -124,6 +126,170 @@ class TestEdgeListFormat:
         parsed, log = parse_edge_list(emit_edge_list(g))
         assert parsed == g
         assert log.clean
+
+
+# References for the parsers: one strip, startswith and split per line,
+# _parse_index per token, and make_graph canonicalising pair by pair.
+
+
+def reference_make_graph(n, pairs):
+    dropped = 0
+    seen = set()
+    merged = 0
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex index out of range for n={n}: {u}-{v}")
+        if u == v:
+            dropped += 1
+            continue
+        e = canonical_edge(u, v)
+        if e in seen:
+            merged += 1
+        else:
+            seen.add(e)
+    return Graph(n, tuple(sorted(seen))), NormalizationLog(dropped, merged)
+
+
+def reference_index(token, lineno):
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"not an integer: {token!r}", lineno) from None
+    if value < 0:
+        raise ParseError(f"negative index: {value}", lineno)
+    return value
+
+
+def reference_parse_edge_list(text):
+    pairs = []
+    declared_n = None
+    first_content = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if first_content and len(tokens) == 1:
+            declared_n = reference_index(tokens[0], lineno)
+            first_content = False
+            continue
+        first_content = False
+        if len(tokens) != 2:
+            raise ParseError("expected two vertex indices", lineno)
+        u = reference_index(tokens[0], lineno)
+        v = reference_index(tokens[1], lineno)
+        if declared_n is not None and (u >= declared_n or v >= declared_n):
+            raise ParseError(f"vertex index out of range for n={declared_n}", lineno)
+        pairs.append((u, v))
+    if declared_n is None and not pairs:
+        raise ParseError("empty input: no header and no edges")
+    n = declared_n if declared_n is not None else 1 + max(max(p) for p in pairs)
+    return reference_make_graph(n, pairs)
+
+
+def reference_parse_dimacs(text):
+    declared = None
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tokens = line.split()
+        if tokens[0] == "p":
+            if declared is not None:
+                raise ParseError("duplicate problem header", lineno)
+            if len(tokens) != 4 or tokens[1] != "edge":
+                raise ParseError("malformed header, expected 'p edge <n> <m>'", lineno)
+            declared = (reference_index(tokens[2], lineno), reference_index(tokens[3], lineno))
+        elif tokens[0] == "e":
+            if declared is None:
+                raise ParseError("edge descriptor before 'p edge' header", lineno)
+            if len(tokens) != 3:
+                raise ParseError("malformed edge descriptor", lineno)
+            u = reference_index(tokens[1], lineno)
+            v = reference_index(tokens[2], lineno)
+            n = declared[0]
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"vertex index out of range for n={n}", lineno)
+            pairs.append((u - 1, v - 1))
+        else:
+            raise ParseError(f"unknown descriptor {tokens[0]!r}", lineno)
+    if declared is None:
+        raise ParseError("missing 'p edge' header")
+    graph, log = reference_make_graph(declared[0], pairs)
+    if len(pairs) != declared[1]:
+        warning = f"header declares {declared[1]} edges, found {len(pairs)}"
+        log = NormalizationLog(log.dropped_loops, log.merged_duplicates, log.warnings + (warning,))
+    return graph, log
+
+
+# Texts for the parser references: headers, comments, blank lines,
+# three-token lines, unusual whitespace (tab, \x0b, which also ends a line,
+# and the ideographic space \u3000) and tokens that int() reads or refuses
+# in ways a plain digit string does not show, among mostly well-formed lines.
+INDICES = st.sampled_from(["0", "1", "2", "3", "4"] * 3 + ["+3", "-0", "-1", "1_0", "\u0663", "x"])
+TOKENS = INDICES | st.sampled_from(["#", "#1", "c", "cx", "p", "edge", "e"])
+SPACES = st.sampled_from([" "] * 8 + ["  ", "\t", "\x0b", "\u3000"])
+ODD_LINES = st.lists(TOKENS, max_size=4) | st.lists(INDICES, min_size=3, max_size=3)
+
+
+def comment_lines(*heads):
+    return st.builds(lambda head, rest: [head, *rest], st.sampled_from(heads), st.lists(TOKENS, max_size=2))
+
+
+def mostly(common, *rare):
+    """Lines from ``common`` eight times in eleven, else from one of three ``rare``."""
+    return st.sampled_from([common] * 8 + list(rare)).flatmap(lambda lines: lines)
+
+
+HEADER = st.lists(INDICES, min_size=1, max_size=1)
+PAIR = st.lists(INDICES, min_size=2, max_size=2)
+EDGE_LIST_LINES = mostly(PAIR, HEADER, comment_lines("#", "#1", "#x"), ODD_LINES)
+P_LINE = st.builds(lambda n, m: ["p", "edge", n, m], INDICES, INDICES)
+E_LINE = st.builds(lambda u, v: ["e", u, v], INDICES, INDICES)
+DIMACS_LINES = mostly(E_LINE, P_LINE, comment_lines("c", "c1", "cx"), ODD_LINES)
+
+
+@st.composite
+def graph_texts(draw, first, lines):
+    """Lines of tokens, most often after a header line ``first``."""
+    rows = [draw(first)] if draw(st.sampled_from([True, True, True, False])) else []
+    rows += draw(st.lists(lines, max_size=8))
+    text = []
+    for tokens in rows:
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        trail = draw(st.sampled_from(["", " ", "\u3000"]))
+        text.append(lead + draw(SPACES).join(tokens) + trail)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(text)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+class TestParsersAgainstReferences:
+    @given(graph_texts(HEADER, EDGE_LIST_LINES))
+    @settings(max_examples=400)
+    def test_edge_list(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
+
+    @given(graph_texts(P_LINE, DIMACS_LINES))
+    @settings(max_examples=400)
+    def test_dimacs(self, text):
+        assert parse_outcome(parse_dimacs, text) == parse_outcome(reference_parse_dimacs, text)
+
+    @given(st.integers(0, 5), st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5)), max_size=12))
+    def test_make_graph(self, n, pairs):
+        def outcome(build):
+            try:
+                return build(n, pairs)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(make_graph) == outcome(reference_make_graph)
 
 
 class TestDimacsFormat:

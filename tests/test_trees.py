@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, assume
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from conftest import connected_graphs, rooted_connected_graphs, rooted_spanning_trees
@@ -10,6 +10,7 @@ from treesign import (
     SwapMove,
     apply_swap,
     bfs_tree,
+    canonical_edge,
     cotree_edges,
     delta_potential,
     detached_component,
@@ -19,7 +20,7 @@ from treesign import (
     potential,
     tree_from_edges,
 )
-from treesign.trees import cotree_path_is_monotone, valley_index
+from treesign.trees import cotree_path_is_monotone, root_edges, valley_index
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -85,6 +86,87 @@ class TestTreeFromEdges:
             tree_from_edges(K3, [(0, 1), (1, 0)], 0)
         with pytest.raises(ValueError, match="span"):
             tree_from_edges(K4, [(0, 1), (0, 2), (1, 2)], 0)
+
+
+def set_checked_tree_from_edges(g, edges, root):
+    """tree_from_edges as a set-based validator, the reference for its
+    parent-map acceptance: canonicalise every edge, then refuse duplicates,
+    edges outside the graph, a wrong count and a set that does not span,
+    in that order."""
+    edge_list = [canonical_edge(u, v) for u, v in edges]
+    edge_set = set(edge_list)
+    if len(edge_set) != len(edge_list):
+        raise ValueError("duplicate tree edges")
+    if not edge_set <= g.edge_set:
+        missing = sorted(edge_set - g.edge_set)[0]
+        raise ValueError(f"edge {missing} is not an edge of the graph")
+    if len(edge_set) != g.n - 1:
+        raise ValueError(f"a spanning tree of n={g.n} needs {g.n - 1} edges, got {len(edge_set)}")
+    t = root_edges(g, edge_set, root)
+    if t is None:
+        raise ValueError("edges do not span the graph")
+    return t
+
+
+@st.composite
+def edge_list_cases(draw):
+    """A small graph (connected or not), a root that may lie outside it, and
+    an edge list: a spanning forest, in random order and orientation, of the
+    graph or of the complete graph (so some of its edges may be missing from
+    the graph), then up to four deletions, insertions or replacements. A new
+    pair is a forest edge again (a duplicate), any graph edge (maybe closing
+    a cycle) or any pair of vertices from -1 to n (loops, non-graph edges,
+    out-of-range and negative endpoints), in either orientation; deletions
+    and insertions give short and long lists."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(-1, n)
+    index = st.integers(0, n - 1)
+    g, _ = make_graph(n, draw(st.lists(st.tuples(index, index), max_size=2 * n)))
+    pool = g.edges if draw(st.booleans()) else [(u, v) for u in range(n) for v in range(u + 1, n)]
+    comp = list(range(n))
+    edges = []
+    for u, v in draw(st.permutations(pool)):
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            comp = [cv if c == cu else c for c in comp]
+            edges.append((v, u) if draw(st.booleans()) else (u, v))
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["delete", "insert", "replace"] if edges else ["insert"]))
+        if op == "delete":
+            del edges[draw(st.integers(0, len(edges) - 1))]
+            continue
+        pools = [st.sampled_from(e) for e in (edges, g.edges) if e]
+        pair = draw(st.one_of(*pools, st.tuples(vertex, vertex)))
+        if draw(st.booleans()):
+            pair = pair[::-1]
+        if op == "insert":
+            edges.insert(draw(st.integers(0, len(edges))), pair)
+        else:
+            edges[draw(st.integers(0, len(edges) - 1))] = pair
+    return g, edges, draw(vertex)
+
+
+def tree_outcome(build, g, edges, root):
+    try:
+        t = build(g, edges, root)
+    except ValueError as exc:
+        return str(exc)
+    return t.root, t.parent, t.depth
+
+
+class TestTreeFromEdgesAgainstSetChecks:
+    @given(edge_list_cases())
+    @settings(max_examples=400)
+    def test_same_tree_or_same_message(self, case):
+        g, edges, root = case
+        assert tree_outcome(tree_from_edges, g, edges, root) == tree_outcome(
+            set_checked_tree_from_edges, g, edges, root
+        )
+
+    def test_negative_vertices_do_not_wrap_around(self):
+        # -1 indexes vertex 3's slot in Python, and (2, 3) is a path edge
+        with pytest.raises(ValueError, match=re.escape("edge (-1, 2) is not an edge of the graph")):
+            tree_from_edges(P4, [(0, 1), (1, 2), (2, -1)], 0)
 
 
 class TestPotential:
