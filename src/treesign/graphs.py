@@ -133,8 +133,25 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[Graph, Normali
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
-    return len(connected_components(g)) <= 1
+    """True iff every vertex is reachable from vertex 0 (true for n <= 1).
+    Counts the vertices one search reaches, without listing components;
+    fewer than n - 1 edges answer False before any search."""
+    if g.m < g.n - 1:
+        return False
+    if g.n <= 1:
+        return True
+    adjacency = g.adjacency
+    seen = bytearray(g.n)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if not seen[w]:
+                seen[w] = 1
+                reached += 1
+                stack.append(w)
+    return reached == g.n
 
 
 def connected_components(g: Graph) -> list[list[Vertex]]:

@@ -1,16 +1,17 @@
 """Brute-force ground truth for small instances.
 
-Spanning trees are enumerated by backtracking, counted independently by
-an exact integer determinant, and checked exhaustively: the potential-
-maximal trees and every exchange-local-maximal tree must have all
-fundamental paths monotone, and the solver's output must verify. Any
-failed check is serialized as a witness; none is expected to exist.
+Spanning trees are enumerated by backtracking over parent maps, counted
+independently by an exact integer determinant, and checked exhaustively:
+the potential-maximal trees and every exchange-local-maximal tree must
+have all fundamental paths monotone, and the solver's output must verify.
+Any failed check is serialized as a witness; none is expected to exist.
 
 The checks are definitional: an exchange is priced by rooting the
 exchanged tree afresh (delta_potential), never by the ascent's closed
-form. The enumerator roots each edge set it built once, and the
-local-maximum check walks each tree's fundamental paths once, probing
-each non-monotone path's valley edges before it searches every exchange.
+form. The enumerator yields each tree already rooted, as the parent map
+it chose, and the local-maximum check walks each tree's fundamental paths
+once, probing each non-monotone path's valley edges before it searches
+every exchange.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .trees import (
     delta_potential,
     potential,
     require_connected,
-    root_edges,
     tree_path,
     valley_index,
 )
@@ -38,80 +38,81 @@ class EnumerationLimitError(RuntimeError):
     """The instance has more spanning trees than the configured cap."""
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _spannable(parent: list[int], ncomp: int, edges: tuple[Edge, ...], idx: int) -> bool:
-    """Can the current components still be merged into one using only
-    edges[idx:]?"""
-    if ncomp == 1:
-        return True
-    trial = parent.copy()
-    left = ncomp
-    for u, v in edges[idx:]:
-        ru, rv = _find(trial, u), _find(trial, v)
-        if ru != rv:
-            trial[ru] = rv
-            left -= 1
-            if left == 1:
-                return True
-    return False
-
-
 def enumerate_spanning_trees(
     g: Graph, root: Vertex = 0, max_trees: int = DEFAULT_TREE_CAP
 ) -> Iterator[RootedTree]:
     """Yield every spanning tree of ``g`` exactly once, rooted at ``root``.
 
-    Backtracks over edge inclusion in lexicographic order, including an
-    edge before excluding it, on an explicit stack, so the depth of the
-    search (one level per edge) is not bounded by Python's recursion
-    limit. A branch is cut when including an edge would close a cycle or
-    when excluding it disconnects what remains. Intended for small graphs;
-    raises EnumerationLimitError past ``max_trees`` trees.
-
-    Each edge set is n - 1 distinct graph edges joined without a cycle by
-    construction, so it is rooted by root_edges without tree_from_edges'
-    re-validation; an edge set that fails to span is an enumerator bug
-    and raises AssertionError.
+    Backtracks over parent maps: each non-root vertex, in vertex order,
+    takes each of its neighbours in ``g.adjacency`` order as its parent,
+    unless that neighbour's parent chain, followed through the vertices
+    already assigned, ends at the vertex itself (the choice would close a
+    cycle). A complete map is then acyclic with every chain ending at the
+    root, so it is a spanning tree already rooted there, and each tree has
+    exactly one such map. Depths are taken by chasing parents. The search
+    state is a list of next-choice indices, one per non-root vertex, not
+    the call stack, so its depth is not bounded by Python's recursion
+    limit. Intended for small graphs; raises EnumerationLimitError past
+    ``max_trees`` trees.
     """
     require_connected(g)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
-    edges = g.edges
+    adjacency = g.adjacency
+    order = [v for v in range(g.n) if v != root]
+    last = len(order)
+    parent: list[Vertex | None] = [None] * g.n
+    # nxt[k]: index in adjacency[order[k]] of the next parent to try.
+    nxt = [0] * last
     yielded = 0
-    # (next edge index, union-find parents, component count, chosen edges)
-    stack: list[tuple[int, list[int], int, tuple[Edge, ...]]] = [
-        (0, list(range(g.n)), g.n, ())
-    ]
-    while stack:
-        idx, parent, ncomp, chosen = stack.pop()
-        if ncomp == 1:
+    k = 0
+    while k >= 0:
+        if k == last:
             yielded += 1
             if yielded > max_trees:
                 raise EnumerationLimitError(
                     f"more than {max_trees} spanning trees; raise max_trees to enumerate"
                 )
-            t = root_edges(g, chosen, root)
-            if t is None:
-                raise AssertionError(f"enumerated edge set {list(chosen)} does not span the graph")
-            yield t
+            yield RootedTree(g, root, tuple(parent), _depths(parent, order, root))
+            k -= 1
             continue
-        if len(edges) - idx < ncomp - 1:
-            continue
-        # Pushed last, the inclusion branch is searched first.
-        if _spannable(parent, ncomp, edges, idx + 1):
-            stack.append((idx + 1, parent, ncomp, chosen))
-        u, v = edges[idx]
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            child = parent.copy()
-            child[ru] = rv
-            stack.append((idx + 1, child, ncomp - 1, chosen + (edges[idx],)))
+        v = order[k]
+        parent[v] = None
+        neighbours = adjacency[v]
+        i = nxt[k]
+        while i < len(neighbours):
+            w = neighbours[i]
+            i += 1
+            x = w
+            while parent[x] is not None:
+                x = parent[x]
+            if x != v:
+                parent[v] = w
+                nxt[k] = i
+                k += 1
+                break
+        else:
+            nxt[k] = 0
+            k -= 1
+
+
+def _depths(parent: list[Vertex | None], order: list[Vertex], root: Vertex) -> tuple[int, ...]:
+    """Depth of every vertex of a complete parent map, each chain chased
+    up to the first vertex whose depth is known."""
+    depth = [-1] * len(parent)
+    depth[root] = 0
+    for v in order:
+        if depth[v] < 0:
+            chain = []
+            x = v
+            while depth[x] < 0:
+                chain.append(x)
+                x = parent[x]
+            d = depth[x]
+            for y in reversed(chain):
+                d += 1
+                depth[y] = d
+    return tuple(depth)
 
 
 def _integer_determinant(a: list[list[int]]) -> int:
@@ -145,9 +146,14 @@ def count_spanning_trees(g: Graph) -> int:
     the last row and column deleted, in exact integer arithmetic.
 
     Independent of the enumerator by construction; the two must agree.
+    A disconnected graph raises require_connected's error. Too few edges
+    are refused before any matrix is built; otherwise the determinant is 0
+    iff the graph is disconnected (matrix-tree theorem), so the components
+    are listed only then.
     """
-    require_connected(g)
     n = g.n
+    if g.m < n - 1:
+        require_connected(g)
     if n == 1:
         return 1
     lap = [[0] * n for _ in range(n)]
@@ -156,8 +162,10 @@ def count_spanning_trees(g: Graph) -> int:
         lap[v][v] += 1
         lap[u][v] -= 1
         lap[v][u] -= 1
-    reduced = [row[: n - 1] for row in lap[: n - 1]]
-    return _integer_determinant(reduced)
+    count = _integer_determinant([row[: n - 1] for row in lap[: n - 1]])
+    if count == 0:
+        require_connected(g)
+    return count
 
 
 def _max_potential(trees: Iterable[RootedTree]) -> tuple[RootedTree, int, int]:

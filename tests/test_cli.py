@@ -416,8 +416,8 @@ class TestOracle:
         assert "more than 5" in capsys.readouterr().err
 
     def test_tree_cap_on_more_edges_than_the_recursion_limit(self, tmp_path, capsys):
-        # K_8 with a 1,000-vertex tail: the enumerator descends through all
-        # 1,028 edges before its first tree.
+        # K_8 with a 1,000-vertex tail: the enumerator picks a parent for
+        # each of the 1,007 non-root vertices before its first tree.
         tail = [(v, v + 1) for v in range(7, 1007)]
         k8 = [(u, v) for u in range(8) for v in range(u + 1, 8)]
         text = "1008\n" + "".join(f"{u} {v}\n" for u, v in k8 + tail)
@@ -439,6 +439,17 @@ class TestOracle:
         assert len(out.splitlines()) == 43
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "aab7485e4c7c9dcc9f18d12bfe681f62b3f0eee99c00b67d142b306db9f3cdb6"
+        )
+
+    def test_sizes_up_to_five_digest(self, tmp_path):
+        # sha256 of the JSONL for every connected graph on 2 to 5 vertices;
+        # it does not depend on the order in which trees are enumerated
+        out = tmp_path / "reports.jsonl"
+        assert main(["oracle", "--n", "2..5", "--root", "0", "--jsonl", str(out)]) == 0
+        data = out.read_bytes()
+        assert data.count(b"\n") == 771
+        assert hashlib.sha256(data).hexdigest() == (
+            "b79c31c0a87b2d811b6025391b03ad34706fdd9732e25fe330ba83febce9d6f3"
         )
 
 

@@ -85,6 +85,18 @@ def test_connectivity():
     assert is_connected(Graph(0, ()))
 
 
+def test_is_connected_agrees_with_the_component_listing():
+    all_edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    graphs = [Graph(0, ()), Graph(1, ())] + [
+        Graph(5, tuple(e for i, e in enumerate(all_edges) if mask >> i & 1))
+        for mask in range(1 << len(all_edges))
+    ]
+    for g in graphs:
+        assert is_connected(g) == (len(connected_components(g)) <= 1), g.edges
+    # 728 connected labeled graphs on 5 vertices (OEIS A001187)
+    assert sum(map(is_connected, graphs)) == 2 + 728
+
+
 def test_graph_key():
     g, _ = make_graph(3, [(0, 1), (1, 2)])
     assert graph_key(g) == "n=3;m=2;0-1,1-2"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,6 +20,7 @@ from treesign import (
     max_potential_tree,
     named_graph,
     potential,
+    require_connected,
     tree_from_edges,
 )
 from treesign import oracle
@@ -100,6 +103,26 @@ class TestEnumeration:
                 checked += 1
         assert checked == 1 + 2 * (1 + 6 + 128 + 8000)
 
+    def test_tree_sets_match_a_brute_force(self):
+        # The reference keeps every (n - 1)-subset of the graph's edges that
+        # tree_from_edges accepts; it shares no code with the enumerator.
+        pairs = 0
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                reference = set()
+                for edges in itertools.combinations(g.edges, n - 1):
+                    try:
+                        tree_from_edges(g, edges, 0)
+                    except ValueError:
+                        continue
+                    reference.add(frozenset(edges))
+                for root in range(n):
+                    trees = [t.tree_edges for t in enumerate_spanning_trees(g, root)]
+                    assert len(trees) == len(set(trees)), (g.edges, root)
+                    assert set(trees) == reference, (g.edges, root)
+                    pairs += 1
+        assert pairs == 1 + 2 * 1 + 3 * 4 + 4 * 38 + 5 * 728
+
 
 class TestCounting:
     def test_known_counts(self):
@@ -123,6 +146,22 @@ class TestCounting:
         g, _ = make_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
             count_spanning_trees(g)
+
+    @pytest.mark.parametrize(
+        "n, pairs, message",
+        [
+            (4, [(0, 1), (2, 3)], "4 vertices need at least 3 edges, got 2"),
+            (5, [(0, 1), (0, 2), (1, 2), (3, 4)], "2 components (sizes 3, 2)"),
+        ],
+    )
+    def test_disconnected_message_is_require_connected(self, n, pairs, message):
+        g, _ = make_graph(n, pairs)
+        with pytest.raises(DisconnectedGraphError) as expected:
+            require_connected(g)
+        with pytest.raises(DisconnectedGraphError) as raised:
+            count_spanning_trees(g)
+        assert str(raised.value) == str(expected.value)
+        assert message in str(raised.value)
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=40)
