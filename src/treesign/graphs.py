@@ -132,48 +132,34 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[Graph, Normali
     return graph, NormalizationLog(len(pairs) - len(canonical), len(canonical) - len(edges))
 
 
+def _reach(g: Graph, start: Vertex, seen: bytearray) -> list[Vertex]:
+    """Vertices a search from ``start`` reaches without entering those
+    already marked in ``seen``; marks them there."""
+    adjacency = g.adjacency
+    seen[start] = 1
+    reached = [start]
+    for u in reached:
+        for w in adjacency[u]:
+            if not seen[w]:
+                seen[w] = 1
+                reached.append(w)
+    return reached
+
+
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (true for n <= 1).
     Counts the vertices one search reaches, without listing components;
     fewer than n - 1 edges answer False before any search."""
     if g.m < g.n - 1:
         return False
-    if g.n <= 1:
-        return True
-    adjacency = g.adjacency
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
-                stack.append(w)
-    return reached == g.n
+    return g.n <= 1 or len(_reach(g, 0, bytearray(g.n))) == g.n
 
 
 def connected_components(g: Graph) -> list[list[Vertex]]:
     """Vertex lists of the connected components, each sorted, in order of
     smallest member."""
     seen = bytearray(g.n)
-    components = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        comp = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-                    stack.append(w)
-        components.append(sorted(comp))
-    return components
+    return [sorted(_reach(g, start, seen)) for start in range(g.n) if not seen[start]]
 
 
 def graph_key(g: Graph) -> str:

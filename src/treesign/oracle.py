@@ -16,6 +16,7 @@ every exchange.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -43,23 +44,27 @@ def enumerate_spanning_trees(
 ) -> Iterator[RootedTree]:
     """Yield every spanning tree of ``g`` exactly once, rooted at ``root``.
 
-    Backtracks over parent maps: each non-root vertex, in vertex order,
-    takes each of its neighbours in ``g.adjacency`` order as its parent,
-    unless that neighbour's parent chain, followed through the vertices
-    already assigned, ends at the vertex itself (the choice would close a
-    cycle). A complete map is then acyclic with every chain ending at the
-    root, so it is a spanning tree already rooted there, and each tree has
-    exactly one such map. Depths are taken by chasing parents. The search
-    state is a list of next-choice indices, one per non-root vertex, not
-    the call stack, so its depth is not bounded by Python's recursion
-    limit. Intended for small graphs; raises EnumerationLimitError past
-    ``max_trees`` trees.
+    Backtracks over parent maps: each non-root vertex takes each of its
+    neighbours in ``g.adjacency`` order as its parent, unless that
+    neighbour's parent chain, followed through the vertices already
+    assigned, ends at the vertex itself (the choice would close a cycle).
+    A complete map is then acyclic with every chain ending at the root, so
+    it is a spanning tree already rooted there, and each tree has exactly
+    one such map. Each vertex is assigned before some neighbour that is
+    the root or comes later (_assignment_order). That neighbour's chain
+    ends at itself when the vertex picks, so it is always a valid choice:
+    every partial map completes to a tree, and the search does work
+    polynomial in n per tree yielded. Depths are taken by chasing
+    parents. The search state is a list of next-choice indices, one per
+    non-root vertex, not the call stack, so its depth is not bounded by
+    Python's recursion limit. Intended for small graphs; raises
+    EnumerationLimitError past ``max_trees`` trees.
     """
     require_connected(g)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
     adjacency = g.adjacency
-    order = [v for v in range(g.n) if v != root]
+    order = _assignment_order(g, root)
     last = len(order)
     parent: list[Vertex | None] = [None] * g.n
     # nxt[k]: index in adjacency[order[k]] of the next parent to try.
@@ -94,6 +99,26 @@ def enumerate_spanning_trees(
         else:
             nxt[k] = 0
             k -= 1
+
+
+def _assignment_order(g: Graph, root: Vertex) -> list[Vertex]:
+    """The non-root vertices, each before some neighbour that is the root
+    or comes later: the reverse of a search from the root that always
+    enters the largest vertex next to those it has entered. That is
+    ascending vertex order whenever ascending order has the property."""
+    adjacency = g.adjacency
+    seen = bytearray(g.n)
+    seen[root] = 1
+    frontier = [-root]
+    entered = []
+    while frontier:
+        v = -heapq.heappop(frontier)
+        entered.append(v)
+        for w in adjacency[v]:
+            if not seen[w]:
+                seen[w] = 1
+                heapq.heappush(frontier, -w)
+    return entered[:0:-1]
 
 
 def _depths(parent: list[Vertex | None], order: list[Vertex], root: Vertex) -> tuple[int, ...]:

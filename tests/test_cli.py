@@ -433,24 +433,17 @@ class TestOracle:
         assert not out.exists()
 
     def test_small_sizes_digest(self, capsys):
-        # sha256 of the JSONL for every connected graph on 2 to 4 vertices
-        assert main(["oracle", "--n", "2..4", "--root", "0"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == 43
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "aab7485e4c7c9dcc9f18d12bfe681f62b3f0eee99c00b67d142b306db9f3cdb6"
-        )
-
-    def test_sizes_up_to_five_digest(self, tmp_path):
-        # sha256 of the JSONL for every connected graph on 2 to 5 vertices;
-        # it does not depend on the order in which trees are enumerated
-        out = tmp_path / "reports.jsonl"
-        assert main(["oracle", "--n", "2..5", "--root", "0", "--jsonl", str(out)]) == 0
-        data = out.read_bytes()
-        assert data.count(b"\n") == 771
-        assert hashlib.sha256(data).hexdigest() == (
-            "b79c31c0a87b2d811b6025391b03ad34706fdd9732e25fe330ba83febce9d6f3"
-        )
+        # sha256 of the JSONL for every connected graph on 2 to 4 and on 2 to
+        # 5 vertices; it does not depend on the order in which trees are
+        # enumerated
+        for sizes, lines, digest in [
+            ("2..4", 43, "aab7485e4c7c9dcc9f18d12bfe681f62b3f0eee99c00b67d142b306db9f3cdb6"),
+            ("2..5", 771, "b79c31c0a87b2d811b6025391b03ad34706fdd9732e25fe330ba83febce9d6f3"),
+        ]:
+            assert main(["oracle", "--n", sizes, "--root", "0"]) == 0
+            out = capsys.readouterr().out
+            assert len(out.splitlines()) == lines, sizes
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, sizes
 
 
 class TestBench:

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from treesign import (
     tree_from_edges,
 )
 from treesign import oracle
-from treesign.oracle import _integer_determinant, _nonconforming_local_max
+from treesign.oracle import _assignment_order, _integer_determinant, _nonconforming_local_max
 from treesign.trees import cotree_path_is_monotone
 
 K3 = named_graph("complete", (3,))
@@ -122,6 +123,45 @@ class TestEnumeration:
                     assert set(trees) == reference, (g.edges, root)
                     pairs += 1
         assert pairs == 1 + 2 * 1 + 3 * 4 + 4 * 38 + 5 * 728
+
+    def test_assignment_order_keeps_a_valid_parent_for_each_vertex(self):
+        def valid(order, g, root):
+            return all(
+                any(w == root or w in order[k + 1 :] for w in g.adjacency[v])
+                for k, v in enumerate(order)
+            )
+
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                for root in range(n):
+                    order = _assignment_order(g, root)
+                    ascending = [v for v in range(n) if v != root]
+                    assert sorted(order) == ascending
+                    assert valid(order, g, root), (g.edges, root, order)
+                    if valid(ascending, g, root):
+                        assert order == ascending, (g.edges, root, order)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            # spider: a centre with 30 two-edge legs, centre numbered first
+            [(0, i) for i in range(1, 31)] + [(i, 30 + i) for i in range(1, 31)],
+            # complete binary tree on 63 vertices in heap order
+            [((v - 1) // 2, v) for v in range(1, 63)],
+        ],
+        ids=["spider", "heap"],
+    )
+    def test_trees_labelled_parents_first_come_out_at_once(self, pairs):
+        # Each graph has one spanning tree. A parent-map search that may hang
+        # a vertex on a neighbour it must later be reached through walks
+        # some 2^30 dead maps here before it yields anything.
+        g, _ = make_graph(len(pairs) + 1, pairs)
+        started = time.perf_counter()
+        for root in range(g.n):
+            trees = list(enumerate_spanning_trees(g, root))
+            assert [t.tree_edges for t in trees] == [frozenset(g.edges)], root
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"took {elapsed:.2f}s for {g.n} roots"
 
 
 class TestCounting:
