@@ -47,7 +47,9 @@ from .graphs import (
     parse_edge_list,
     to_dot,
 )
-from .oracle import EnumerationLimitError, enumerate_connected_graphs, exhaustive_check
+from .oracle import (
+    DEFAULT_TREE_CAP, EnumerationLimitError, enumerate_connected_graphs, exhaustive_check
+)
 from .solver import NoImprovingSwapError, Sign, SignLabeling, Solution, solve, verify_alternating
 from .trees import DisconnectedGraphError, RootedTree, tree_from_edges
 
@@ -302,6 +304,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.input is None):
         raise ParseError("exactly one of --n and --input is required")
+    if args.max_trees < 1:
+        raise ParseError(f"--max-trees must be at least 1, got {args.max_trees}")
     if args.n is not None:
         # The list calls every size's generator now, so an unsupported size
         # fails before any graph is checked.
@@ -484,10 +488,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", default=None, help="check all connected graphs on these vertex counts, e.g. 4 or 2..5"
     )
     p_oracle.add_argument("--input", default=None, help="check a single graph file")
-    p_oracle.add_argument("--root", type=int, default=0)
+    p_oracle.add_argument("--root", type=int, default=0, help="root of every tree (default 0)")
     p_oracle.add_argument("--format", choices=("edgelist", "dimacs"), default="edgelist")
     p_oracle.add_argument("--jsonl", default=None, help="reports destination (default stdout)")
-    p_oracle.add_argument("--max-trees", type=int, default=1_000_000)
+    p_oracle.add_argument(
+        "--max-trees",
+        type=int,
+        default=DEFAULT_TREE_CAP,
+        help="exit 2 on a graph with more spanning trees; the check keeps about "
+        "90 bytes per tree (default %(default)s)",
+    )
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="emit a graph in edge-list format")

@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from treesign import emit_edge_list, exhaustive_check, gnp_graph, named_graph, solver
-from treesign.cli import BenchConfig, canonical_json, main, parse_sizes, run_bench
+from treesign import emit_edge_list, exhaustive_check, gnp_graph, named_graph, oracle, solver
+from treesign.cli import BenchConfig, build_parser, canonical_json, main, parse_sizes, run_bench
 
 P4_TEXT = "4\n0 1\n1 2\n2 3\n"
 K3_TEXT = "3\n0 1\n0 2\n1 2\n"
@@ -414,6 +414,17 @@ class TestOracle:
         k4 = write(tmp_path, "k4.edges", emit_edge_list(named_graph("complete", (4,))))
         assert main(["oracle", "--input", k4, "--max-trees", "5"]) == 2
         assert "more than 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_tree_cap_below_one(self, capsys, cap):
+        assert main(["oracle", "--n", "3", "--max-trees", cap]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: --max-trees must be at least 1, got {cap}" in err
+
+    def test_tree_cap_defaults_to_the_oracle_cap(self):
+        args = build_parser().parse_args(["oracle", "--n", "3"])
+        assert args.max_trees == oracle.DEFAULT_TREE_CAP
 
     def test_tree_cap_on_more_edges_than_the_recursion_limit(self, tmp_path, capsys):
         # K_8 with a 1,000-vertex tail: the enumerator picks a parent for

@@ -24,9 +24,14 @@ from treesign import (
     require_connected,
     tree_from_edges,
 )
-from treesign import oracle
-from treesign.oracle import _assignment_order, _integer_determinant, _nonconforming_local_max
-from treesign.trees import cotree_path_is_monotone
+from treesign import oracle, trees
+from treesign.oracle import (
+    _assignment_order,
+    _edge_bits,
+    _improvable,
+    _integer_determinant,
+    _potential_table,
+)
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -318,40 +323,106 @@ class TestExhaustiveCheck:
         assert exhaustive_check(g, 0).ok
 
 
+def table_verdicts(g, root):
+    """Each enumerated tree with the oracle's table verdict: does some
+    exchange strictly raise its potential?"""
+    table, _, _ = _potential_table(g, root, oracle.DEFAULT_TREE_CAP)
+    for t in enumerate_spanning_trees(g, root):
+        mask = sum(bit for e, bit in _edge_bits(g) if e in t.tree_edges)
+        yield t, _improvable(table, mask, g.m)
+
+
 class TestAdmitsImprovingSwap:
-    """The oracle's one-pass local-maximum check against its definition: a
-    non-monotone tree that admits no strictly improving exchange."""
+    """The oracle's table lookup against its definition: every exchange
+    of the tree, each priced by re-rooting the exchanged tree."""
 
     def test_matches_the_unordered_search_on_small_graphs(self):
-        non_monotone = 0
+        checked = improvable = 0
         for n in range(1, 6):
             for g in enumerate_connected_graphs(n):
                 for root in range(n):
-                    for t in enumerate_spanning_trees(g, root):
-                        monotone = all(cotree_path_is_monotone(t, e) for e in cotree_edges(t))
-                        expected = not monotone and not admits_improving_swap_reference(t)
-                        assert _nonconforming_local_max(t) is expected, (g.edges, root, t.parent)
-                        non_monotone += not monotone
-        assert non_monotone > 0
+                    for t, verdict in table_verdicts(g, root):
+                        assert verdict is admits_improving_swap_reference(t), (
+                            g.edges,
+                            root,
+                            t.parent,
+                        )
+                        checked += 1
+                        improvable += verdict
+        assert checked == 40_533
+        assert 0 < improvable < checked
 
     def test_matches_the_unordered_search_on_a_long_cycle(self, monkeypatch):
         g = named_graph("cycle", (12,))
         expected = [admits_improving_swap_reference(t) for t in enumerate_spanning_trees(g, 0)]
         assert expected.count(True) == 10
-        probes = []
+        assert [verdict for _, verdict in table_verdicts(g, 0)] == expected
+        # delta_potential (and apply_swap) re-root through trees._swapped,
+        # however they were imported.
+        calls = []
+        swapped = trees._swapped
 
-        def counted(t, add, remove):
-            probes.append(remove)
-            return delta_potential(t, add, remove)
+        def counted(*args):
+            calls.append(args)
+            return swapped(*args)
 
-        monkeypatch.setattr(oracle, "delta_potential", counted)
-        for t, admits in zip(enumerate_spanning_trees(g, 0), expected):
-            probes.clear()
-            assert _nonconforming_local_max(t) is False
-            # The cotree edge's path runs through the root and improves at
-            # its first valley probe, unless the edge meets the root: then
-            # the path is monotone and nothing is probed.
-            assert len(probes) == (1 if admits else 0)
+        monkeypatch.setattr(trees, "_swapped", counted)
+        assert exhaustive_check(g, 0).ok
+        assert calls == []
+        # The counter sees the reference's probes.
+        t = next(t for t, admits in zip(enumerate_spanning_trees(g, 0), expected) if admits)
+        assert admits_improving_swap_reference(t) and calls
+
+
+class TestOneTieBreak:
+    def test_least_edge_set_among_maximisers(self):
+        pairs = 0
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                for root in range(n):
+                    enumerated = list(enumerate_spanning_trees(g, root))
+                    psi = max(potential(t) for t in enumerated)
+                    maximisers = [t.sorted_edges() for t in enumerated if potential(t) == psi]
+                    t, max_psi, count = max_potential_tree(g, root)
+                    assert t.sorted_edges() == min(maximisers), (g.edges, root)
+                    assert t == tree_from_edges(g, min(maximisers), root)
+                    assert (max_psi, count) == (psi, len(maximisers))
+                    report = exhaustive_check(g, root)
+                    assert (report.max_psi, report.max_psi_tree_count) == (psi, len(maximisers))
+                    pairs += 1
+        assert pairs == 1 + 2 * 1 + 3 * 4 + 4 * 38 + 5 * 728
+
+
+class TestFailuresTheTableMustNotHide:
+    def test_a_tree_yielded_twice_breaks_the_count(self, monkeypatch):
+        enumerate_once = oracle.enumerate_spanning_trees
+
+        def first_tree_twice(g, root, max_trees):
+            yielded = enumerate_once(g, root, max_trees)
+            first = next(yielded)
+            yield first
+            yield first
+            yield from yielded
+
+        monkeypatch.setattr(oracle, "enumerate_spanning_trees", first_tree_twice)
+        report = exhaustive_check(K4, 0)
+        assert report.tree_count == report.kirchhoff_count + 1 == 17
+        assert not report.counts_agree and not report.ok
+
+    def test_a_local_maximum_with_a_non_monotone_path_is_reported(self, monkeypatch):
+        # Every cotree path now reads non-monotone, so each tree that no
+        # exchange improves breaks check (b).
+        monkeypatch.setattr(oracle, "valley_index", lambda depth, path: 1)
+        report = exhaustive_check(K3, 0)
+        assert not report.all_local_maxima_conform and not report.ok
+        first = next(
+            t for t in enumerate_spanning_trees(K3, 0) if not admits_improving_swap_reference(t)
+        )
+        # The first tree in enumeration order, the star at 0, is improvable.
+        assert first.sorted_edges() == ((0, 1), (1, 2))
+        assert report.witness["check"] == "local_max_conforms"
+        assert report.witness["tree_edges"] == [list(e) for e in first.sorted_edges()]
+        assert report.witness["depth"] == list(first.depth)
 
 
 class TestConnectedGraphCorpus:
