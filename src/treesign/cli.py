@@ -528,22 +528,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
     except NoImprovingSwapError as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
-    except ValueError as exc:
+    except (ValueError, OSError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except AssertionError as exc:

@@ -21,9 +21,17 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Edge, Graph, Vertex, graph_key, is_connected
+from .graphs import Edge, Graph, Vertex, connected_components, graph_key, is_connected
 from .solver import solve, verify_monotone
-from .trees import RootedTree, require_connected, root_edges, tree_path, valley_index
+from .trees import (
+    RootedTree,
+    _disconnected,
+    _require_enough_edges,
+    require_connected,
+    root_edges,
+    tree_path,
+    valley_index,
+)
 
 DEFAULT_TREE_CAP = 1_000_000
 
@@ -50,14 +58,19 @@ def enumerate_spanning_trees(
     polynomial in n per tree yielded. Depths are taken by chasing
     parents. The search state is a list of next-choice indices, one per
     non-root vertex, not the call stack, so its depth is not bounded by
-    Python's recursion limit. Intended for small graphs; raises
+    Python's recursion limit. The search behind the order also decides
+    connectivity, so the components are listed only to name them in the
+    DisconnectedGraphError. Intended for small graphs; raises
     EnumerationLimitError past ``max_trees`` trees.
     """
-    require_connected(g)
     if not 0 <= root < g.n:
+        require_connected(g)
         raise ValueError(f"root {root} out of range for n={g.n}")
-    adjacency = g.adjacency
+    _require_enough_edges(g)
     order = _assignment_order(g, root)
+    if len(order) != g.n - 1:
+        raise _disconnected(connected_components(g))
+    adjacency = g.adjacency
     last = len(order)
     parent: list[Vertex | None] = [None] * g.n
     # nxt[k]: index in adjacency[order[k]] of the next parent to try.
@@ -301,19 +314,9 @@ class OracleReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "root": self.root,
-            "tree_count": self.tree_count,
-            "kirchhoff_count": self.kirchhoff_count,
-            "max_psi": self.max_psi,
-            "max_psi_tree_count": self.max_psi_tree_count,
-            "global_max_conforms": self.global_max_conforms,
-            "all_local_maxima_conform": self.all_local_maxima_conform,
-            "solve_agrees": self.solve_agrees,
-            "ok": self.ok,
-            "witness": self.witness,
-        }
+        # vars, not dataclasses.asdict: asdict deep-copies the witness, at
+        # about 20x the cost per report line.
+        return {**vars(self), "ok": self.ok}
 
 
 def exhaustive_check(

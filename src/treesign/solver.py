@@ -2,12 +2,15 @@
 
 The solver ascends the potential by edge exchanges until every cotree
 edge's fundamental path is strictly monotone in depth, then labels each
-tree edge by the parity of its deeper endpoint's depth. Along a strictly
-monotone path the deeper-endpoint depths of consecutive edges differ by
-exactly 1, so the parity labels alternate. The verifier checks that
-property on any rooted tree and labeling, independent of how they were
-produced, in O(n + m): alternating runs of edges and preorder intervals
-decide every cotree edge without walking its path.
+tree edge by the parity of its deeper endpoint's depth. The best exchange
+on a non-monotone path always removes one of the two path edges at its
+valley, so the ascent prices only those two, in closed form; the restart
+reference re-roots every candidate and takes its own argmax. Along a
+strictly monotone path the deeper-endpoint depths of consecutive edges
+differ by exactly 1, so the parity labels alternate. The verifier checks
+that property on any rooted tree and labeling, independent of how they
+were produced, in O(n + m): alternating runs of edges and preorder
+intervals decide every cotree edge without walking its path.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graphs import Edge, Graph, Vertex, canonical_edge
 from .trees import (
@@ -84,12 +87,12 @@ def falsification_instance(
     }
 
 
-def _path_gains(
-    path: Sequence[Vertex], depth: Sequence[int], size: Sequence[int]
-) -> tuple[int, list[int]]:
-    """Valley index of a non-monotone tree path and the potential gain of
-    removing each of its edges, given the depth and subtree size of every
-    path vertex but the valley.
+def _valley_gains(
+    path: Sequence[Vertex], k: int, depth: Sequence[int], size: Sequence[int]
+) -> tuple[int, int]:
+    """Potential gains of removing the two edges at the valley ``k`` of a
+    non-monotone tree path, (path[k-1], path[k]) and (path[k], path[k+1]),
+    given the depth and subtree size of every path vertex but the valley.
 
     The depth sequence of a non-monotone tree path descends to a unique
     valley and ascends after it (an interior local maximum is impossible:
@@ -101,58 +104,38 @@ def _path_gains(
     branch, and symmetrically on the ascending side.
 
     The increments along a branch have the sign of depth(v_0) + depth(v_l)
-    + 1 - 2*depth(v_i), which grows toward the valley, so a branch's gains
-    fall and then rise; and a gain of at least 1 at the branch's far end
-    makes every later increment positive. The best strictly improving
-    removal is therefore always one of the two path edges at the valley.
+    + 1 - 2*depth(v_i), which strictly grows toward the valley, and every
+    weight is at least 1. So a branch's gains fall and then rise, and an
+    edge off the valley with a gain of at least 1 has a positive increment
+    at or before it, hence a positive one at every later step: its
+    branch's valley edge gains strictly more. The removal of maximum gain,
+    ties going to the smallest path index, is therefore the left valley
+    edge when its gain is at least the right one's and the right valley
+    edge otherwise, whenever that gain is at least 1; and when neither
+    valley edge gains 1, no edge does.
     """
     dep = [depth[v] for v in path]
     last = len(path) - 1
-    k = valley_index(depth, path)
-    if not 0 < k < last:
-        raise ValueError(
-            f"fundamental path of {(path[0], path[last])} is monotone; nothing to improve"
-        )
     if any(dep[i] <= dep[i + 1] for i in range(k)) or any(
         dep[i] >= dep[i + 1] for i in range(k, last)
     ):
         raise AssertionError(f"tree path depths are not valley-shaped: {dep}")
     gain = dep[0] + dep[last] + 1
-    deltas = [0] * last
-    acc = 0
-    prev = 0
+    left = prev = 0
     for i in range(k):
         sz = size[path[i]]
-        acc += (sz - prev) * (gain - 2 * dep[i])
+        left += (sz - prev) * (gain - 2 * dep[i])
         prev = sz
-        deltas[i] = acc
-    acc = 0
-    prev = 0
+    right = prev = 0
     for i in range(last, k, -1):
         sz = size[path[i]]
-        acc += (sz - prev) * (gain - 2 * dep[i])
+        right += (sz - prev) * (gain - 2 * dep[i])
         prev = sz
-        deltas[i - 1] = acc
-    return k, deltas
+    return left, right
 
 
 def _candidates(path: Sequence[Vertex], deltas: list[int]) -> list[tuple[Edge, int]]:
     return [(canonical_edge(path[j], path[j + 1]), d) for j, d in enumerate(deltas)]
-
-
-def _best_removal(
-    path: Sequence[Vertex], deltas: list[int], tree: Callable[[], RootedTree]
-) -> int:
-    """Path index of the removal with maximum gain, ties going to the
-    smallest index. A best gain below 1 raises NoImprovingSwapError, whose
-    instance dump is built from ``tree()`` only then."""
-    best = max(range(len(deltas)), key=deltas.__getitem__)
-    if deltas[best] < 1:
-        e = (path[0], path[-1])
-        raise NoImprovingSwapError(
-            falsification_instance(tree(), e, tuple(path), _candidates(path, deltas))
-        )
-    return best
 
 
 def _tree_gains(t: RootedTree, e: Edge) -> tuple[tuple[Vertex, ...], list[int]]:
@@ -172,8 +155,8 @@ def candidate_deltas(t: RootedTree, e: Edge) -> list[tuple[Edge, int]]:
 
     This is the reference pricing: each candidate's exchanged tree is
     rooted afresh (delta_potential), so it costs O(path * n), where the
-    ascent's closed form (_path_gains) costs O(path). The path must be
-    non-monotone.
+    ascent prices only the two valley edges in closed form (_valley_gains),
+    in O(path). The path must be non-monotone.
     """
     return _candidates(*_tree_gains(t, canonical_edge(*e)))
 
@@ -185,11 +168,14 @@ def find_improving_swap(t: RootedTree, e: Edge) -> SwapMove:
     candidate; the one with maximum potential gain wins, ties going to the
     smallest path index. The path must be non-monotone; a non-monotone
     path always admits a gain of at least 1, so exhausting the candidates
-    without one raises NoImprovingSwapError.
+    without one raises NoImprovingSwapError. This is the restart
+    reference's own selection: the ascent shares none of it.
     """
     e = canonical_edge(*e)
     path, deltas = _tree_gains(t, e)
-    j = _best_removal(path, deltas, lambda: t)
+    j = max(range(len(deltas)), key=deltas.__getitem__)
+    if deltas[j] < 1:
+        raise NoImprovingSwapError(falsification_instance(t, e, path, _candidates(path, deltas)))
     return SwapMove(added=e, removed=canonical_edge(path[j], path[j + 1]), delta_psi=deltas[j])
 
 
@@ -211,8 +197,10 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
 
     Starts from the breadth-first tree and repeatedly fixes the
     lexicographically first cotree edge whose fundamental path is not
-    monotone, with the exchange find_improving_swap would choose. The
-    potential strictly increases with every move and is at most (n-1)^2,
+    monotone, with the exchange find_improving_swap would choose: that is
+    the better of the two valley exchanges, the left one on a tie
+    (_valley_gains), and a best gain below 1 raises NoImprovingSwapError.
+    The potential strictly increases with every move and is at most (n-1)^2,
     so the loop terminates. The move sequence is that of rescanning all
     cotree edges after every exchange (_monotone_spanning_tree_restart).
 
@@ -229,8 +217,8 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     lexicographically first violation. Initially every cotree edge is
     queued.
 
-    Re-queue. Let e's path be a ... top ... b. The best exchange always
-    removes an edge (top, child) at the valley (see _path_gains), so the
+    Re-queue. Let e's path be a ... top ... b. The exchange removes an
+    edge (top, child) at the valley, so the
     component under ``child`` is the branch below top that holds one
     endpoint, ``inner``; it is re-hung from the other endpoint, ``outer``.
     Depths change only inside the component, and a path between two
@@ -275,22 +263,22 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
         queued.remove(e)
         a, b = e
         path = tree_path(parent, depth, a, b)
-        if not 0 < valley_index(depth, path) < len(path) - 1:
+        k = valley_index(depth, path)
+        if not 0 < k < len(path) - 1:
             continue  # monotone: one endpoint is an ancestor of the other
-        k, deltas = _path_gains(path, depth, size)
-        j = _best_removal(
-            path, deltas, lambda: RootedTree(g, root, tuple(parent), tuple(depth))
-        )
+        left, right = _valley_gains(path, k, depth, size)
         # The component is the branch below top that holds the inner
         # endpoint; the other branch, outer up to just below top, gains it.
-        if j == k - 1:
-            chain, gaining = path[:k], path[:k:-1]
-        elif j == k:
-            chain, gaining = path[:k:-1], path[:k]
+        if left >= right:
+            gain, chain, gaining = left, path[:k], path[:k:-1]
         else:
-            raise AssertionError(f"best exchange on {path} does not remove a top edge")
+            gain, chain, gaining = right, path[:k:-1], path[:k]
+        if gain < 1:
+            t = RootedTree(g, root, tuple(parent), tuple(depth))
+            candidates = _candidates(path[k - 1 : k + 2], [left, right])
+            raise NoImprovingSwapError(falsification_instance(t, e, tuple(path), candidates))
         inner, child, outer, top = chain[0], chain[-1], gaining[0], path[k]
-        moves.append(SwapMove(e, canonical_edge(top, child), deltas[j]))
+        moves.append(SwapMove(e, canonical_edge(top, child), gain))
 
         comp_size = size[child]
         for w in gaining:

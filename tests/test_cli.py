@@ -179,6 +179,12 @@ class TestSolve:
         assert main(["solve", "-"]) == 0
         assert report_of(capsys) == K3_REPORT
 
+    def test_no_improving_swap_exits_5(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "_valley_gains", lambda *args: (0, 0))
+        path = write(tmp_path, "k3.edges", K3_TEXT)
+        assert main(["solve", path]) == 5
+        assert capsys.readouterr().err.startswith("falsification: ")
+
     def test_dimacs(self, tmp_path, capsys):
         path = write(tmp_path, "k3.col", "c complete graph\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
         assert main(["solve", path, "--format", "dimacs"]) == 0

@@ -100,6 +100,14 @@ class TestEnumeration:
         with pytest.raises(DisconnectedGraphError):
             list(enumerate_spanning_trees(g, 0))
 
+    def test_components_are_listed_only_when_disconnected(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("components listed for a connected graph")
+
+        monkeypatch.setattr(oracle, "connected_components", refuse)
+        monkeypatch.setattr(trees, "connected_components", refuse)
+        assert len(list(enumerate_spanning_trees(K4, 2))) == 16
+
     def test_trees_match_validated_rooting(self):
         checked = 0
         for g, root in small_rooted_graphs():
@@ -207,6 +215,12 @@ class TestCounting:
             count_spanning_trees(g)
         assert str(raised.value) == str(expected.value)
         assert message in str(raised.value)
+        # The enumerator raises the same error, at a valid root and before
+        # naming a root out of range.
+        for root in (0, n):
+            with pytest.raises(DisconnectedGraphError) as enumerated:
+                list(enumerate_spanning_trees(g, root))
+            assert str(enumerated.value) == str(expected.value)
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=40)

@@ -34,11 +34,11 @@ from treesign.solver import (
     VerificationReport,
     Violation,
     _monotone_spanning_tree_restart,
-    _path_gains,
+    _valley_gains,
     candidate_deltas,
     falsification_instance,
 )
-from treesign.trees import cotree_path_is_monotone
+from treesign.trees import cotree_path_is_monotone, valley_index
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -126,10 +126,12 @@ class TestFindImprovingSwap:
             find_improving_swap(t, (0, 3))
 
     def test_best_removal_is_at_the_top(self):
-        """The ascent relies on this: the best exchange removes one of the
-        two path edges at the top, on every non-monotone path of every
-        spanning tree of every connected graph with n <= 5. There the
-        ascent's closed-form gains also equal the re-rooted reference's."""
+        """The ascent relies on this: on every non-monotone path of every
+        spanning tree of every connected graph with n <= 5, the closed-form
+        valley gains equal the re-rooted reference's, the reference's best
+        removal is a valley edge, and every other candidate with a gain of
+        at least 1 is strictly below the better valley gain, so choosing
+        the left valley edge on a tie is the reference's tie-break."""
         paths = 0
         for n in range(3, 6):
             for g in enumerate_connected_graphs(n):
@@ -137,15 +139,20 @@ class TestFindImprovingSwap:
                     for e in cotree_edges(t):
                         if not cotree_path_is_monotone(t, e):
                             path = fundamental_path(t, e)
-                            top = min(path, key=t.depth.__getitem__)
-                            assert top in find_improving_swap(t, e).removed
+                            k = valley_index(t.depth, path)
+                            deltas = [d for _, d in candidate_deltas(t, e)]
                             sizes = [
                                 n if p is None else len(detached_component(t, (v, p)))
                                 for v, p in enumerate(t.parent)
                             ]
-                            assert _path_gains(path, t.depth, sizes)[1] == [
-                                d for _, d in candidate_deltas(t, e)
-                            ]
+                            left, right = _valley_gains(path, k, t.depth, sizes)
+                            assert (left, right) == (deltas[k - 1], deltas[k])
+                            assert path[k] in find_improving_swap(t, e).removed
+                            assert all(
+                                d < max(left, right)
+                                for j, d in enumerate(deltas)
+                                if j not in (k - 1, k) and d >= 1
+                            )
                             paths += 1
         assert paths == 9865
 
@@ -157,6 +164,22 @@ class TestFindImprovingSwap:
         assert err.instance["n"] == 3
         assert err.instance["path"] == [1, 0, 2]
         assert "instance dump" in str(err)
+
+    def test_ascent_raises_with_the_two_valley_candidates(self, monkeypatch):
+        """The ascent's safety net: when neither valley exchange gains 1,
+        solve() raises with the path and both valley candidates, in path
+        order."""
+        monkeypatch.setattr(treesign.solver, "_valley_gains", lambda *args: (-1, 0))
+        with pytest.raises(NoImprovingSwapError) as raised:
+            solve(K3)
+        instance = raised.value.instance
+        assert instance["cotree_edge"] == [1, 2]
+        assert instance["path"] == [1, 0, 2]
+        assert instance["tree_edges"] == [[0, 1], [0, 2]]
+        assert instance["candidates"] == [
+            {"removed": [0, 1], "delta_psi": -1},
+            {"removed": [0, 2], "delta_psi": 0},
+        ]
 
 
 class TestMonotoneSpanningTree:
