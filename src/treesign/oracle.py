@@ -21,17 +21,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Edge, Graph, Vertex, connected_components, graph_key, is_connected
-from .solver import solve, verify_monotone
-from .trees import (
-    RootedTree,
-    _disconnected,
-    _require_enough_edges,
-    require_connected,
-    root_edges,
-    tree_path,
-    valley_index,
-)
+from .graphs import Edge, Graph, Vertex, graph_key, is_connected
+from .solver import solve
+from .trees import RootedTree, require_connected, root_edges, tree_path, valley_index
 
 DEFAULT_TREE_CAP = 1_000_000
 
@@ -59,17 +51,18 @@ def enumerate_spanning_trees(
     parents. The search state is a list of next-choice indices, one per
     non-root vertex, not the call stack, so its depth is not bounded by
     Python's recursion limit. The search behind the order also decides
-    connectivity, so the components are listed only to name them in the
-    DisconnectedGraphError. Intended for small graphs; raises
+    connectivity, so require_connected lists the components only when it
+    misses a vertex. Intended for small graphs; raises
     EnumerationLimitError past ``max_trees`` trees.
     """
     if not 0 <= root < g.n:
         require_connected(g)
         raise ValueError(f"root {root} out of range for n={g.n}")
-    _require_enough_edges(g)
+    if g.m < g.n - 1:
+        require_connected(g)
     order = _assignment_order(g, root)
     if len(order) != g.n - 1:
-        raise _disconnected(connected_components(g))
+        require_connected(g)
     adjacency = g.adjacency
     last = len(order)
     parent: list[Vertex | None] = [None] * g.n
@@ -325,7 +318,8 @@ def exhaustive_check(
     """Validate every claim the solver rests on, over all spanning trees.
 
     (a) every potential-maximal tree has only monotone fundamental paths
-        (reported for the lexicographically least one; (b) covers ties),
+        (reported for the lexicographically least one, as the table pass
+        classified it; (b) covers ties),
     (b) every tree admitting no strictly improving exchange has only
         monotone fundamental paths,
     (c) the solver's output passes the alternation verifier,
@@ -343,12 +337,8 @@ def exhaustive_check(
             "local_max_conforms",
             "non-monotone tree admitting no improving exchange",
         )
-    best = _tree_of(g, root, best_mask)
-    global_max_conforms = verify_monotone(g, best).ok
-    if not global_max_conforms and witness is None:
-        witness = _tree_witness(
-            best, "global_max_conforms", "potential-maximal tree with a non-monotone path"
-        )
+    # The maximiser is never improvable: if non-monotone, it broke (b), which set the witness.
+    global_max_conforms = best_mask not in non_monotone
 
     solution = solve(g, root)
     solve_agrees = solution.verification.ok

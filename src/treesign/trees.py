@@ -31,29 +31,24 @@ class DisconnectedGraphError(ValueError):
 
 def require_connected(g: Graph) -> None:
     """Raise DisconnectedGraphError for a disconnected graph, naming the
-    component count and suggesting per-component runs."""
-    _require_enough_edges(g)
-    comps = connected_components(g)
-    if len(comps) > 1:
-        raise _disconnected(comps)
-
-
-def _require_enough_edges(g: Graph) -> None:
-    """Fewer than n - 1 edges cannot connect n vertices. That is refused
-    before any O(n) work, so a huge declared vertex count costs nothing."""
+    component sizes and suggesting per-component runs. Fewer than n - 1
+    edges cannot connect n vertices; that is refused before any O(n) work,
+    so a huge declared vertex count costs nothing. This is the only code
+    that builds the error: a search that decides connectivity itself calls
+    it when the graph has too few edges, and again when the search misses
+    a vertex, to list the components."""
     if g.m < g.n - 1:
         raise DisconnectedGraphError(
             f"graph is not connected: {g.n} vertices need at least {g.n - 1} "
             f"edges, got {g.m}; solve each component separately"
         )
-
-
-def _disconnected(comps: list[list[Vertex]]) -> DisconnectedGraphError:
-    sizes = ", ".join(str(len(c)) for c in comps)
-    return DisconnectedGraphError(
-        f"graph is not connected: {len(comps)} components (sizes {sizes}); "
-        "solve each component separately"
-    )
+    comps = connected_components(g)
+    if len(comps) > 1:
+        sizes = ", ".join(str(len(c)) for c in comps)
+        raise DisconnectedGraphError(
+            f"graph is not connected: {len(comps)} components (sizes {sizes}); "
+            "solve each component separately"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,14 +118,15 @@ def bfs_tree(g: Graph, root: Vertex) -> RootedTree:
     """Breadth-first spanning tree; depths equal graph distance from root.
 
     Neighbors are explored in sorted order, so the result is deterministic.
-    Raises DisconnectedGraphError when some vertex is unreachable, naming
-    the component sizes as require_connected does; the search itself
-    decides connectivity, and the components are listed only on failure.
+    A disconnected graph raises require_connected's error; the search
+    itself decides connectivity, so the components are listed only on
+    failure.
     """
-    _require_enough_edges(g)
+    if g.m < g.n - 1:
+        require_connected(g)
     parent, depth, reached = _bfs(g.adjacency, root)
     if reached != g.n:
-        raise _disconnected(connected_components(g))
+        require_connected(g)
     return RootedTree(g, root, tuple(parent), tuple(depth))
 
 

@@ -157,6 +157,10 @@ class TestGen:
         assert main(["gen", "--gnp", "x", "0.5", "1"]) == 2
         assert main(["gen", "bogus", "4"]) == 2
 
+    def test_missing_parameter_message(self, capsys):
+        assert main(["gen", "path"]) == 2
+        assert capsys.readouterr().err == "error: path takes 1 parameter(s), got 0\n"
+
 
 class TestSolve:
     def test_path_report(self, tmp_path, capsys):
@@ -377,6 +381,16 @@ class TestVerify:
         deep = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
         assert main(["verify", graph, deep]) == 2
         assert "error: solution is not valid JSON" in capsys.readouterr().err
+
+    def test_label_on_a_non_tree_edge(self, tmp_path, capsys):
+        graph = write(tmp_path, "k3.edges", K3_TEXT)
+        doc = json.loads(json.dumps(K3_REPORT))
+        doc["signs"]["0-1"] = "+"
+        solution = write(tmp_path, "doc.json", json.dumps(doc))
+        assert main(["verify", graph, solution]) == 2
+        assert capsys.readouterr().err == (
+            "error: labeling does not match the tree edges: labels for non-tree edges [(0, 1)]\n"
+        )
 
 
 class TestOracle:

@@ -9,6 +9,7 @@ from treesign import (
     DisconnectedGraphError,
     EnumerationLimitError,
     OracleReport,
+    bfs_tree,
     canonical_edge,
     cotree_edges,
     count_spanning_trees,
@@ -104,7 +105,6 @@ class TestEnumeration:
         def refuse(g):
             raise AssertionError("components listed for a connected graph")
 
-        monkeypatch.setattr(oracle, "connected_components", refuse)
         monkeypatch.setattr(trees, "connected_components", refuse)
         assert len(list(enumerate_spanning_trees(K4, 2))) == 16
 
@@ -221,6 +221,9 @@ class TestCounting:
             with pytest.raises(DisconnectedGraphError) as enumerated:
                 list(enumerate_spanning_trees(g, root))
             assert str(enumerated.value) == str(expected.value)
+        with pytest.raises(DisconnectedGraphError) as searched:
+            bfs_tree(g, 0)
+        assert str(searched.value) == str(expected.value)
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=40)
@@ -406,6 +409,22 @@ class TestOneTieBreak:
                     pairs += 1
         assert pairs == 1 + 2 * 1 + 3 * 4 + 4 * 38 + 5 * 728
 
+    def test_a_conforming_check_roots_no_tree(self, monkeypatch):
+        # Check (a) reads the table pass's verdict on the maximiser; only a
+        # witness, or max_potential_tree's result, is rooted from its mask.
+        calls = []
+        tree_of = oracle._tree_of
+
+        def counted(*args):
+            calls.append(args)
+            return tree_of(*args)
+
+        monkeypatch.setattr(oracle, "_tree_of", counted)
+        assert exhaustive_check(K4, 0).ok
+        assert calls == []
+        max_potential_tree(K4, 0)
+        assert len(calls) == 1
+
 
 class TestFailuresTheTableMustNotHide:
     def test_a_tree_yielded_twice_breaks_the_count(self, monkeypatch):
@@ -425,10 +444,11 @@ class TestFailuresTheTableMustNotHide:
 
     def test_a_local_maximum_with_a_non_monotone_path_is_reported(self, monkeypatch):
         # Every cotree path now reads non-monotone, so each tree that no
-        # exchange improves breaks check (b).
+        # exchange improves breaks check (b), and the maximiser breaks (a).
         monkeypatch.setattr(oracle, "valley_index", lambda depth, path: 1)
         report = exhaustive_check(K3, 0)
         assert not report.all_local_maxima_conform and not report.ok
+        assert not report.global_max_conforms
         first = next(
             t for t in enumerate_spanning_trees(K3, 0) if not admits_improving_swap_reference(t)
         )
