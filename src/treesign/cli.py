@@ -398,8 +398,6 @@ def parse_sizes(text: str) -> tuple[int, ...]:
                 sizes.append(int(token))
             except ValueError:
                 raise ParseError(f"malformed size {token!r}") from None
-    if not sizes:
-        raise ParseError("no sizes given")
     return tuple(sizes)
 
 

@@ -3,7 +3,9 @@
 Graphs are immutable, use dense 0-based vertex ids, and store each edge
 once in canonical orientation (u < v), lexicographically sorted. Inputs
 that are not simple are normalized (loops dropped, parallel edges merged)
-and the cleanup is reported rather than rejected.
+and the cleanup is reported rather than rejected. breadth_first is the
+package's one graph search: connectivity, breadth-first trees, the rooting
+of edge sets and the oracle's assignment order all run it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .solver import Sign
@@ -132,18 +134,29 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[Graph, Normali
     return graph, NormalizationLog(len(pairs) - len(canonical), len(canonical) - len(edges))
 
 
-def _reach(g: Graph, start: Vertex, seen: bytearray) -> list[Vertex]:
-    """Vertices a search from ``start`` reaches without entering those
-    already marked in ``seen``; marks them there."""
-    adjacency = g.adjacency
-    seen[start] = 1
-    reached = [start]
-    for u in reached:
-        for w in adjacency[u]:
-            if not seen[w]:
-                seen[w] = 1
-                reached.append(w)
-    return reached
+def breadth_first(
+    neighbors: Sequence[Sequence[Vertex]],
+    root: Vertex,
+    parent: list[Vertex | None],
+    depth: list[int],
+) -> list[Vertex]:
+    """Vertices a breadth-first search from ``root`` over a neighbor list
+    reaches, in visit order, skipping any vertex whose depth is already set
+    (not -1). Records each new vertex's search parent and depth in
+    ``parent`` and ``depth``; each vertex is visited after its parent."""
+    n = len(neighbors)
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range for n={n}")
+    depth[root] = 0
+    visited = [root]
+    for u in visited:
+        d = depth[u] + 1
+        for w in neighbors[u]:
+            if depth[w] < 0:
+                depth[w] = d
+                parent[w] = u
+                visited.append(w)
+    return visited
 
 
 def is_connected(g: Graph) -> bool:
@@ -152,14 +165,20 @@ def is_connected(g: Graph) -> bool:
     fewer than n - 1 edges answer False before any search."""
     if g.m < g.n - 1:
         return False
-    return g.n <= 1 or len(_reach(g, 0, bytearray(g.n))) == g.n
+    return g.n <= 1 or len(breadth_first(g.adjacency, 0, [None] * g.n, [-1] * g.n)) == g.n
 
 
 def connected_components(g: Graph) -> list[list[Vertex]]:
     """Vertex lists of the connected components, each sorted, in order of
-    smallest member."""
-    seen = bytearray(g.n)
-    return [sorted(_reach(g, start, seen)) for start in range(g.n) if not seen[start]]
+    smallest member. The searches share one parent and depth map, so each
+    vertex is entered once."""
+    parent: list[Vertex | None] = [None] * g.n
+    depth = [-1] * g.n
+    return [
+        sorted(breadth_first(g.adjacency, start, parent, depth))
+        for start in range(g.n)
+        if depth[start] < 0
+    ]
 
 
 def graph_key(g: Graph) -> str:

@@ -17,11 +17,10 @@ priced by the ascent's closed form. The table costs O(trees) memory, about
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Edge, Graph, Vertex, graph_key, is_connected
+from .graphs import Edge, Graph, Vertex, breadth_first, graph_key, is_connected
 from .solver import solve
 from .trees import RootedTree, require_connected, root_edges, tree_path, valley_index
 
@@ -43,24 +42,22 @@ def enumerate_spanning_trees(
     assigned, ends at the vertex itself (the choice would close a cycle).
     A complete map is then acyclic with every chain ending at the root, so
     it is a spanning tree already rooted there, and each tree has exactly
-    one such map. Each vertex is assigned before some neighbour that is
-    the root or comes later (_assignment_order). That neighbour's chain
-    ends at itself when the vertex picks, so it is always a valid choice:
-    every partial map completes to a tree, and the search does work
-    polynomial in n per tree yielded. Depths are taken by chasing
-    parents. The search state is a list of next-choice indices, one per
-    non-root vertex, not the call stack, so its depth is not bounded by
-    Python's recursion limit. The search behind the order also decides
-    connectivity, so require_connected lists the components only when it
-    misses a vertex. Intended for small graphs; raises
-    EnumerationLimitError past ``max_trees`` trees.
+    one such map. Vertices are assigned in the reverse of a breadth-first
+    visit order from the root, root dropped, so each comes before its
+    search parent, a neighbour that is the root or comes later. That
+    neighbour's chain ends at itself when the vertex picks, so it is always
+    a valid choice: every partial map completes to a tree, and the search
+    does work polynomial in n per tree yielded. Depths are taken by
+    chasing parents. The backtracking state is a list of next-choice
+    indices, one per non-root vertex, not the call stack, so its depth is
+    not bounded by Python's recursion limit. The breadth-first search also
+    decides connectivity and checks the root, so require_connected lists
+    the components only when it misses a vertex. Intended for small
+    graphs; raises EnumerationLimitError past ``max_trees`` trees.
     """
-    if not 0 <= root < g.n:
+    if not 0 <= root < g.n or g.m < g.n - 1:
         require_connected(g)
-        raise ValueError(f"root {root} out of range for n={g.n}")
-    if g.m < g.n - 1:
-        require_connected(g)
-    order = _assignment_order(g, root)
+    order = breadth_first(g.adjacency, root, [None] * g.n, [-1] * g.n)[:0:-1]
     if len(order) != g.n - 1:
         require_connected(g)
     adjacency = g.adjacency
@@ -98,26 +95,6 @@ def enumerate_spanning_trees(
         else:
             nxt[k] = 0
             k -= 1
-
-
-def _assignment_order(g: Graph, root: Vertex) -> list[Vertex]:
-    """The non-root vertices, each before some neighbour that is the root
-    or comes later: the reverse of a search from the root that always
-    enters the largest vertex next to those it has entered. That is
-    ascending vertex order whenever ascending order has the property."""
-    adjacency = g.adjacency
-    seen = bytearray(g.n)
-    seen[root] = 1
-    frontier = [-root]
-    entered = []
-    while frontier:
-        v = -heapq.heappop(frontier)
-        entered.append(v)
-        for w in adjacency[v]:
-            if not seen[w]:
-                seen[w] = 1
-                heapq.heappush(frontier, -w)
-    return entered[:0:-1]
 
 
 def _depths(parent: list[Vertex | None], order: list[Vertex], root: Vertex) -> tuple[int, ...]:

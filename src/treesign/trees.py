@@ -4,11 +4,12 @@ A RootedTree pins a spanning tree of a graph at a root and keeps
 array-backed parent and depth maps. The depth of a vertex is the length
 of its unique tree path from the root; the potential of a tree is the sum
 of all depths. Exchanging a cotree edge for an edge on its fundamental
-path yields another spanning tree. apply_swap and delta_potential root
-the exchanged edge set afresh through root_edges, the breadth-first
-rooting that tree_from_edges also uses, so they price a move by
-definition; the solver's ascent prices its moves in closed form instead
-and is tested against them. tree_from_edges roots an untrusted edge set
+path yields another spanning tree. bfs_tree searches the graph and
+root_edges an edge set, both with graphs.breadth_first. apply_swap and
+delta_potential root the exchanged edge set afresh through root_edges,
+as tree_from_edges does, so they price a move by definition; the
+solver's ascent prices its moves in closed form instead and is tested
+against them. tree_from_edges roots an untrusted edge set
 first and accepts it from the parent map: n - 1 in-range pairs that reach
 every vertex are a tree, and it is a tree of the graph iff n - 1 graph
 edges join a vertex to its parent. Only a rejected set is checked as a
@@ -17,12 +18,11 @@ set, to name its fault.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graphs import Edge, Graph, Vertex, canonical_edge, connected_components
+from .graphs import Edge, Graph, Vertex, breadth_first, canonical_edge, connected_components
 
 
 class DisconnectedGraphError(ValueError):
@@ -90,30 +90,6 @@ class RootedTree:
         return self._sorted_edges
 
 
-def _bfs(
-    neighbors: Sequence[Sequence[Vertex]], root: Vertex
-) -> tuple[list[Vertex | None], list[int], int]:
-    """Breadth-first parent and depth lists from ``root`` over a neighbor
-    list, and the number of vertices reached; unreached depths are -1."""
-    n = len(neighbors)
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range for n={n}")
-    parent: list[Vertex | None] = [None] * n
-    depth = [-1] * n
-    depth[root] = 0
-    queue = deque([root])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for w in neighbors[u]:
-            if depth[w] < 0:
-                depth[w] = depth[u] + 1
-                parent[w] = u
-                reached += 1
-                queue.append(w)
-    return parent, depth, reached
-
-
 def bfs_tree(g: Graph, root: Vertex) -> RootedTree:
     """Breadth-first spanning tree; depths equal graph distance from root.
 
@@ -124,8 +100,9 @@ def bfs_tree(g: Graph, root: Vertex) -> RootedTree:
     """
     if g.m < g.n - 1:
         require_connected(g)
-    parent, depth, reached = _bfs(g.adjacency, root)
-    if reached != g.n:
+    parent: list[Vertex | None] = [None] * g.n
+    depth = [-1] * g.n
+    if len(breadth_first(g.adjacency, root, parent, depth)) != g.n:
         require_connected(g)
     return RootedTree(g, root, tuple(parent), tuple(depth))
 
@@ -178,8 +155,9 @@ def root_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree | No
     for u, v in edges:
         neighbors[u].append(v)
         neighbors[v].append(u)
-    parent, depth, reached = _bfs(neighbors, root)
-    if reached != g.n:
+    parent: list[Vertex | None] = [None] * g.n
+    depth = [-1] * g.n
+    if len(breadth_first(neighbors, root, parent, depth)) != g.n:
         return None
     return RootedTree(g, root, tuple(parent), tuple(depth))
 

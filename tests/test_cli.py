@@ -177,6 +177,14 @@ class TestSolve:
         path = write(tmp_path, "k3.edges", K3_TEXT)
         assert main(["solve", path]) == 0
         assert report_of(capsys) == K3_REPORT
+        # a repeated edge, reversed, is merged with a note and changes nothing
+        path = write(tmp_path, "k3dup.edges", K3_TEXT + "1 0\n")
+        assert main(["solve", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == "note: merged 1 duplicate edge(s)\n"
+        doc = json.loads(out)
+        doc.pop("timing_ms")
+        assert doc == K3_REPORT
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(K3_TEXT))
@@ -374,6 +382,9 @@ class TestVerify:
         bad = write(tmp_path, "bad.json", "not json {")
         assert main(["verify", graph, bad]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+        bad = write(tmp_path, "list.json", "[]")
+        assert main(["verify", graph, bad]) == 2
+        assert capsys.readouterr().err == "error: solution document must be a JSON object\n"
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         # json.loads recurses once per level and gives up long before this.
@@ -423,6 +434,8 @@ class TestOracle:
         assert main(["oracle", "--n", "2..7"]) == 2
         assert main(["oracle", "--n", "two"]) == 2
         assert capsys.readouterr().out == ""
+        assert main(["oracle", "--n", "2..x"]) == 2
+        assert capsys.readouterr() == ("", "error: malformed size range '2..x'\n")
 
     def test_size_range(self, capsys):
         assert main(["oracle", "--n", "2..3"]) == 0
@@ -518,6 +531,9 @@ class TestBench:
         assert main(["bench", "--family", "path", "--sizes", "9x"]) == 2
         assert main(["bench", "--family", "path", "--sizes", "5..3"]) == 2
         assert main(["bench", "--family", "path", "--sizes", ""]) == 2
+        capsys.readouterr()
+        assert main(["bench", "--family", "path", "--sizes", "a..5"]) == 2
+        assert capsys.readouterr().err == "error: malformed size range 'a..5'\n"
 
 
 class TestBenchHelpers:

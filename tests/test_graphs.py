@@ -396,6 +396,10 @@ class TestDot:
         assert '0 -- 1 [style=solid, label="-"];' in out
         assert "1 -- 2 [style=dashed];" in out
         assert '[label="0 (d=0)"]' in out
+        # without signs, tree edges are solid and unlabelled
+        out = to_dot(g, t)
+        assert "0 -- 1 [style=solid];" in out and "0 -- 2 [style=solid];" in out
+        assert "1 -- 2 [style=dashed];" in out and 'label="-"' not in out
 
     def test_rejects_inconsistent_labeling(self):
         g = named_graph("complete", (3,))

@@ -26,8 +26,8 @@ from treesign import (
     tree_from_edges,
 )
 from treesign import oracle, trees
+from treesign.graphs import breadth_first
 from treesign.oracle import (
-    _assignment_order,
     _edge_bits,
     _improvable,
     _integer_determinant,
@@ -63,10 +63,10 @@ def admits_improving_swap_reference(t):
 class TestEnumeration:
     def test_triangle_trees(self):
         trees = list(enumerate_spanning_trees(K3, 0))
-        assert [t.tree_edges for t in trees] == [
-            {(0, 1), (0, 2)},
-            {(0, 1), (1, 2)},
-            {(0, 2), (1, 2)},
+        assert [t.sorted_edges() for t in trees] == [
+            ((0, 1), (0, 2)),
+            ((0, 2), (1, 2)),
+            ((0, 1), (1, 2)),
         ]
 
     def test_trees_are_spanning_and_distinct(self):
@@ -147,12 +147,17 @@ class TestEnumeration:
         for n in range(1, 6):
             for g in enumerate_connected_graphs(n):
                 for root in range(n):
-                    order = _assignment_order(g, root)
-                    ascending = [v for v in range(n) if v != root]
-                    assert sorted(order) == ascending
+                    parent = [None] * n
+                    depth = [-1] * n
+                    visited = breadth_first(g.adjacency, root, parent, depth)
+                    assert visited[0] == root and parent[root] is None
+                    for k, v in enumerate(visited[1:], 1):
+                        p = parent[v]
+                        assert p in g.adjacency[v] and p in visited[:k], (g.edges, root, v)
+                        assert depth[v] == depth[p] + 1, (g.edges, root, v)
+                    order = visited[:0:-1]
+                    assert sorted(order) == [v for v in range(n) if v != root]
                     assert valid(order, g, root), (g.edges, root, order)
-                    if valid(ascending, g, root):
-                        assert order == ascending, (g.edges, root, order)
 
     @pytest.mark.parametrize(
         "pairs",
@@ -452,8 +457,9 @@ class TestFailuresTheTableMustNotHide:
         first = next(
             t for t in enumerate_spanning_trees(K3, 0) if not admits_improving_swap_reference(t)
         )
-        # The first tree in enumeration order, the star at 0, is improvable.
-        assert first.sorted_edges() == ((0, 1), (1, 2))
+        # The first tree in enumeration order, the star at 0, is improvable;
+        # the second, the path 0-2-1, is not.
+        assert first.sorted_edges() == ((0, 2), (1, 2))
         assert report.witness["check"] == "local_max_conforms"
         assert report.witness["tree_edges"] == [list(e) for e in first.sorted_edges()]
         assert report.witness["depth"] == list(first.depth)
