@@ -138,29 +138,6 @@ def _candidates(path: Sequence[Vertex], deltas: list[int]) -> list[tuple[Edge, i
     return [(canonical_edge(path[j], path[j + 1]), d) for j, d in enumerate(deltas)]
 
 
-def _tree_gains(t: RootedTree, e: Edge) -> tuple[tuple[Vertex, ...], list[int]]:
-    """Fundamental path of the non-monotone cotree edge ``e`` and the
-    potential gain of removing each of its edges, by delta_potential."""
-    path = fundamental_path(t, e)
-    if cotree_path_is_monotone(t, e):
-        raise ValueError(f"fundamental path of {e} is monotone; nothing to improve")
-    return path, [
-        delta_potential(t, e, canonical_edge(path[j], path[j + 1]))
-        for j in range(len(path) - 1)
-    ]
-
-
-def candidate_deltas(t: RootedTree, e: Edge) -> list[tuple[Edge, int]]:
-    """Potential gain of every removal candidate on e's fundamental path.
-
-    This is the reference pricing: each candidate's exchanged tree is
-    rooted afresh (delta_potential), so it costs O(path * n), where the
-    ascent prices only the two valley edges in closed form (_valley_gains),
-    in O(path). The path must be non-monotone.
-    """
-    return _candidates(*_tree_gains(t, canonical_edge(*e)))
-
-
 def find_improving_swap(t: RootedTree, e: Edge) -> SwapMove:
     """Best strictly improving exchange that inserts the cotree edge ``e``.
 
@@ -169,10 +146,18 @@ def find_improving_swap(t: RootedTree, e: Edge) -> SwapMove:
     smallest path index. The path must be non-monotone; a non-monotone
     path always admits a gain of at least 1, so exhausting the candidates
     without one raises NoImprovingSwapError. This is the restart
-    reference's own selection: the ascent shares none of it.
+    reference's own selection, and the ascent shares none of it: each
+    candidate's exchanged tree is rooted afresh (delta_potential), which
+    costs O(path * n), where the ascent prices only the two valley edges
+    in closed form (_valley_gains), in O(path).
     """
     e = canonical_edge(*e)
-    path, deltas = _tree_gains(t, e)
+    path = fundamental_path(t, e)
+    if cotree_path_is_monotone(t, e):
+        raise ValueError(f"fundamental path of {e} is monotone; nothing to improve")
+    deltas = [
+        delta_potential(t, e, canonical_edge(path[j], path[j + 1])) for j in range(len(path) - 1)
+    ]
     j = max(range(len(deltas)), key=deltas.__getitem__)
     if deltas[j] < 1:
         raise NoImprovingSwapError(falsification_instance(t, e, path, _candidates(path, deltas)))

@@ -72,14 +72,6 @@ class RootedTree:
         )
 
     @cached_property
-    def children(self) -> tuple[tuple[Vertex, ...], ...]:
-        kids: list[list[Vertex]] = [[] for _ in range(self.graph.n)]
-        for v, p in enumerate(self.parent):
-            if p is not None:
-                kids[p].append(v)
-        return tuple(tuple(k) for k in kids)
-
-    @cached_property
     def _sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(
             sorted([(v, p) if v < p else (p, v) for v, p in enumerate(self.parent) if p is not None])
@@ -180,7 +172,8 @@ def cotree_path_is_monotone(t: RootedTree, e: Edge) -> bool:
     Depths along a tree path step by exactly 1, falling toward the two
     endpoints' lowest common ancestor and rising after it, so the path is
     monotone exactly when one endpoint is an ancestor of the other. Decided
-    by walking the deeper endpoint up, without building the path.
+    by walking the deeper endpoint up, without building the path. The
+    oracle's table pass and the solver's restart reference read it.
     """
     u, v = e
     parent, depth = t.parent, t.depth
@@ -247,25 +240,6 @@ class SwapMove:
     added: Edge
     removed: Edge
     delta_psi: int
-
-
-def detached_component(t: RootedTree, removed: Edge) -> tuple[Vertex, ...]:
-    """Vertices cut off from the root when ``removed`` leaves the tree,
-    i.e. the subtree under the removed edge's deeper endpoint."""
-    removed = canonical_edge(*removed)
-    parent = t.parent
-    u, v = removed
-    if removed not in t.graph.edge_set or (parent[u] != v and parent[v] != u):
-        raise ValueError(f"{removed} is not a tree edge")
-    child = u if parent[u] == v else v
-    comp = [child]
-    stack = [child]
-    while stack:
-        x = stack.pop()
-        for k in t.children[x]:
-            comp.append(k)
-            stack.append(k)
-    return tuple(comp)
 
 
 def _swapped(t: RootedTree, add: Edge, remove: Edge) -> RootedTree:

@@ -396,6 +396,28 @@ class TestAdmitsImprovingSwap:
         assert admits_improving_swap_reference(t) and calls
 
 
+class TestNonMonotoneList:
+    def test_matches_the_valley_rule_at_every_root(self):
+        """The table pass lists, in enumeration order, exactly the trees
+        with a cotree path whose valley index is not an end."""
+        pairs = trees_seen = non_monotone = 0
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                edge_bits = _edge_bits(g)
+                for root in range(n):
+                    expected = []
+                    for t in enumerate_spanning_trees(g, root):
+                        paths = [trees.tree_path(t.parent, t.depth, u, v) for u, v in cotree_edges(t)]
+                        if any(0 < trees.valley_index(t.depth, p) < len(p) - 1 for p in paths):
+                            expected.append(sum(bit for e, bit in edge_bits if e in t.tree_edges))
+                        trees_seen += 1
+                    _, _, listed = _potential_table(g, root, oracle.DEFAULT_TREE_CAP)
+                    assert listed == expected, (g.edges, root)
+                    pairs += 1
+                    non_monotone += len(expected)
+        assert (pairs, trees_seen, non_monotone) == (3807, 40_533, 26_978)
+
+
 class TestOneTieBreak:
     def test_least_edge_set_among_maximisers(self):
         pairs = 0
@@ -450,7 +472,7 @@ class TestFailuresTheTableMustNotHide:
     def test_a_local_maximum_with_a_non_monotone_path_is_reported(self, monkeypatch):
         # Every cotree path now reads non-monotone, so each tree that no
         # exchange improves breaks check (b), and the maximiser breaks (a).
-        monkeypatch.setattr(oracle, "valley_index", lambda depth, path: 1)
+        monkeypatch.setattr(oracle, "cotree_path_is_monotone", lambda t, e: False)
         report = exhaustive_check(K3, 0)
         assert not report.all_local_maxima_conform and not report.ok
         assert not report.global_max_conforms

@@ -15,7 +15,6 @@ from treesign import (
     canonical_edge,
     cotree_edges,
     delta_potential,
-    detached_component,
     find_improving_swap,
     fundamental_path,
     gnp_graph,
@@ -35,7 +34,6 @@ from treesign.solver import (
     Violation,
     _monotone_spanning_tree_restart,
     _valley_gains,
-    candidate_deltas,
     falsification_instance,
 )
 from treesign.trees import cotree_path_is_monotone, valley_index
@@ -83,33 +81,6 @@ class TestSign:
         assert str(Sign.PLUS) == "+" and str(Sign.MINUS) == "-"
 
 
-class TestCandidateDeltas:
-    def test_triangle_both_candidates_gain_one(self):
-        t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
-        assert candidate_deltas(t, (1, 2)) == [((0, 1), 1), ((0, 2), 1)]
-
-    def test_deep_valley(self):
-        t = tree_from_edges(K4, [(0, 2), (0, 3), (1, 2)], 0)
-        assert candidate_deltas(t, (1, 3)) == [((1, 2), 0), ((0, 2), 2), ((0, 3), 2)]
-
-    def test_monotone_path_is_rejected(self):
-        g = named_graph("cycle", (4,))
-        t = tree_from_edges(g, [(0, 1), (1, 2), (2, 3)], 0)
-        with pytest.raises(ValueError, match="monotone"):
-            candidate_deltas(t, (0, 3))
-
-    @given(rooted_connected_graphs(), st.data())
-    def test_agrees_with_one_at_a_time_recomputation(self, case, data):
-        g, root = case
-        t = bfs_tree(g, root)
-        bad = [e for e in cotree_edges(t) if not cotree_path_is_monotone(t, e)]
-        if not bad:
-            return
-        e = data.draw(st.sampled_from(bad))
-        for removed, delta in candidate_deltas(t, e):
-            assert delta == delta_potential(t, e, removed)
-
-
 class TestFindImprovingSwap:
     def test_triangle_tie_goes_to_first_path_edge(self):
         t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
@@ -140,11 +111,14 @@ class TestFindImprovingSwap:
                         if not cotree_path_is_monotone(t, e):
                             path = fundamental_path(t, e)
                             k = valley_index(t.depth, path)
-                            deltas = [d for _, d in candidate_deltas(t, e)]
-                            sizes = [
-                                n if p is None else len(detached_component(t, (v, p)))
-                                for v, p in enumerate(t.parent)
+                            deltas = [
+                                delta_potential(t, e, canonical_edge(path[j], path[j + 1]))
+                                for j in range(len(path) - 1)
                             ]
+                            sizes = [1] * n
+                            for v in sorted(range(n), key=t.depth.__getitem__, reverse=True):
+                                if t.parent[v] is not None:
+                                    sizes[t.parent[v]] += sizes[v]
                             left, right = _valley_gains(path, k, t.depth, sizes)
                             assert (left, right) == (deltas[k - 1], deltas[k])
                             assert path[k] in find_improving_swap(t, e).removed
