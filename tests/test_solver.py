@@ -81,6 +81,33 @@ class TestSign:
         assert str(Sign.PLUS) == "+" and str(Sign.MINUS) == "-"
 
 
+def _candidate_deltas(t, e):
+    """Each removal candidate on e's fundamental path, in path order, with
+    its re-rooted gain: the list find_improving_swap chooses from."""
+    path = fundamental_path(t, e)
+    removals = [canonical_edge(a, b) for a, b in zip(path, path[1:])]
+    return [(r, delta_potential(t, e, r)) for r in removals]
+
+
+class TestCandidateDeltas:
+    def test_triangle_both_candidates_gain_one(self):
+        t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
+        assert _candidate_deltas(t, (1, 2)) == [((0, 1), 1), ((0, 2), 1)]
+
+    def test_deep_valley(self):
+        # path 1-2-0-3: the edge off the valley gains nothing, both valley edges gain 2
+        t = tree_from_edges(K4, [(0, 2), (0, 3), (1, 2)], 0)
+        assert _candidate_deltas(t, (1, 3)) == [((1, 2), 0), ((0, 2), 2), ((0, 3), 2)]
+
+    def test_monotone_path_is_rejected(self):
+        # no candidate on a monotone path gains, so there is nothing to choose from
+        g = named_graph("cycle", (4,))
+        t = tree_from_edges(g, [(0, 1), (1, 2), (2, 3)], 0)
+        assert all(d < 1 for _, d in _candidate_deltas(t, (0, 3)))
+        with pytest.raises(ValueError, match="monotone"):
+            find_improving_swap(t, (0, 3))
+
+
 class TestFindImprovingSwap:
     def test_triangle_tie_goes_to_first_path_edge(self):
         t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
@@ -111,10 +138,7 @@ class TestFindImprovingSwap:
                         if not cotree_path_is_monotone(t, e):
                             path = fundamental_path(t, e)
                             k = valley_index(t.depth, path)
-                            deltas = [
-                                delta_potential(t, e, canonical_edge(path[j], path[j + 1]))
-                                for j in range(len(path) - 1)
-                            ]
+                            deltas = [d for _, d in _candidate_deltas(t, e)]
                             sizes = [1] * n
                             for v in sorted(range(n), key=t.depth.__getitem__, reverse=True):
                                 if t.parent[v] is not None:

@@ -13,13 +13,14 @@ from treesign import (
     canonical_edge,
     cotree_edges,
     delta_potential,
+    enumerate_spanning_trees,
     fundamental_path,
     make_graph,
     named_graph,
     potential,
     tree_from_edges,
 )
-from treesign.trees import cotree_path_is_monotone, root_edges, valley_index
+from treesign.trees import cotree_path_is_monotone, root_edges, tree_path, valley_index
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -249,14 +250,35 @@ class TestMonotoneReport:
                 assert t.depth[v] == t.depth[path[k]] + abs(i - k)
 
 
+def _rehung(t, add, remove):
+    """Vertices whose parent or depth an exchange changes."""
+    t2 = apply_swap(t, SwapMove(add, remove, 0))
+    return {v for v in range(t.graph.n) if (t2.parent[v], t2.depth[v]) != (t.parent[v], t.depth[v])}
+
+
 class TestSwaps:
+    def test_detached_component_is_deep_side(self):
+        """Removing a tree edge detaches the subtree of its lower end; an
+        exchange re-hangs only vertices of that side, its top vertex always."""
+        assert _rehung(bfs_tree(K4, 0), (1, 2), (0, 1)) == {1}
+        t = tree_from_edges(K4, [(0, 3), (1, 2), (1, 3)], 0)
+        assert _rehung(t, (0, 1), (0, 3)) == {3, 1, 2}
+        exchanges = 0
+        for t in enumerate_spanning_trees(K4, 0):
+            for e in cotree_edges(t):
+                path = fundamental_path(t, e)
+                for a, b in zip(path, path[1:]):
+                    child = a if t.parent[a] == b else b
+                    deep = {v for v in range(K4.n) if child in tree_path(t.parent, t.depth, v, 0)}
+                    rehung = _rehung(t, e, (a, b))
+                    assert child in rehung and rehung <= deep
+                    exchanges += 1
+        assert exchanges == 108
+
     def test_delta_examples(self):
         t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
         assert delta_potential(t, (1, 2), (0, 1)) == 1
         assert delta_potential(t, (1, 2), (0, 2)) == 1
-        # path 1-2-0-3: the edge off the valley gains nothing, both valley edges gain 2
-        t = tree_from_edges(K4, [(0, 2), (0, 3), (1, 2)], 0)
-        assert [delta_potential(t, (1, 3), r) for r in ((1, 2), (0, 2), (0, 3))] == [0, 2, 2]
 
     def test_apply_swap_examples(self):
         t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
