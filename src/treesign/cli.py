@@ -15,8 +15,10 @@ with no improving exchange, or a failed oracle check — never expected).
 
 Reports are canonical JSON (schema_version 2): the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline, with
-sorted edge lists. Identical inputs give byte-identical reports except for
-the timing_ms field.
+sorted edge lists. The solve report is written straight from the solution
+(build_solve_report); canonical_json writes verify output and oracle
+witnesses. Identical inputs give byte-identical reports except for the
+timing_ms field.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ def canonical_json(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline.
 
     CPython's C encoder runs only without ``indent``, so the bytes are
-    written here, specialised to the shapes of the reports: dicts with
-    ``str`` keys, lists of ints and lists of [int, int] pairs. Any other
-    value is handed to ``json.dumps`` itself.
+    written here, specialised to dicts with ``str`` keys and lists of ints.
+    Any other value is handed to ``json.dumps`` itself. This writes verify
+    output and oracle witnesses; build_solve_report writes the solve
+    report's small fields through ``_dump`` too.
     """
     return _dump(doc, "\n") + "\n"
 
@@ -83,23 +86,10 @@ def _dump(x, nl: str) -> str:
         return "[]" if isinstance(x, list) else "{}"
     inner = nl + "  "
     if isinstance(x, dict) and all(type(k) is str for k in x):
-        keys = sorted(x)
-        values = [x[k] for k in keys]
-        if all(type(v) is str for v in values):
-            body = [_quote(k) + ": " + _quote(v) for k, v in zip(keys, values)]
-        else:
-            body = [_quote(k) + ": " + _dump(v, inner) for k, v in zip(keys, values)]
+        body = [_quote(k) + ": " + _dump(x[k], inner) for k in sorted(x)]
         return "{" + inner + ("," + inner).join(body) + nl + "}"
     if isinstance(x, list):
-        if all(type(v) is int for v in x):
-            body = map(str, x)
-        elif all(
-            type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int for v in x
-        ):
-            deeper = inner + "  "
-            body = [f"[{deeper}{a},{deeper}{b}{inner}]" for a, b in x]
-        else:
-            body = [_dump(v, inner) for v in x]
+        body = map(str, x) if all(type(v) is int for v in x) else [_dump(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(body) + nl + "]"
     # Byte-exact: a JSON text holds no raw newline outside its layout.
     return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
@@ -147,11 +137,6 @@ def _edge_json(e: Edge) -> list[int]:
     return [e[0], e[1]]
 
 
-def _signs_json(signs: SignLabeling) -> dict[str, str]:
-    # _value_ is the member's value without the Enum.value descriptor.
-    return {f"{u}-{v}": s._value_ for (u, v), s in signs.items()}
-
-
 def _failures_json(violations) -> list[dict]:
     return [
         {
@@ -164,34 +149,41 @@ def _failures_json(violations) -> list[dict]:
     ]
 
 
-def build_solve_report(solution: Solution, timing_ms: int) -> dict:
+def build_solve_report(solution: Solution, timing_ms: int) -> str:
+    """The solve report's canonical text, written from the solution.
+
+    The bytes are canonical_json's for the report document, which is never
+    built: each bulk field is formatted in one pass. Sign lines are sorted
+    as strings, which sorts their keys, because a key's closing quote sorts
+    before '-' and every digit ("1-2" before "1-23").
+    """
     tree, trace, verification = solution.tree, solution.trace, solution.verification
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "input": {"n": tree.graph.n, "m": tree.graph.m, "root": tree.root},
-        "tree": {
-            "edges": [_edge_json(e) for e in tree.sorted_edges()],
-            "depth": list(tree.depth),
-        },
-        "signs": _signs_json(solution.signs),
-        "trace": {
-            "initial_psi": trace.initial_psi,
-            "final_psi": trace.final_psi,
-            "moves": [
-                {
-                    "add": _edge_json(m.added),
-                    "remove": _edge_json(m.removed),
-                    "delta": m.delta_psi,
-                }
-                for m in trace.moves
-            ],
-        },
-        "verification": {
-            "ok": verification.ok,
-            "failures": _failures_json(verification.violations),
-        },
-        "timing_ms": timing_ms,
-    }
+    pair = "[\n        %d,\n        %d\n      ]"
+    edges = ",\n      ".join([pair % e for e in tree.sorted_edges()])
+    # _value_ is the member's value without the Enum.value descriptor.
+    signs = ",\n".join(
+        sorted([f'    "{u}-{v}": "{s._value_}"' for (u, v), s in solution.signs.items()])
+    )
+    moves = [
+        {"add": _edge_json(m.added), "remove": _edge_json(m.removed), "delta": m.delta_psi}
+        for m in trace.moves
+    ]
+    nl = "\n  "
+    return "".join((
+        '{\n  "input": ', _dump({"n": tree.graph.n, "m": tree.graph.m, "root": tree.root}, nl),
+        ',\n  "schema_version": ', str(SCHEMA_VERSION),
+        ',\n  "signs": ', ("{\n" + signs + "\n  }") if signs else "{}",
+        ',\n  "timing_ms": ', str(timing_ms),
+        ',\n  "trace": ', _dump(
+            {"initial_psi": trace.initial_psi, "final_psi": trace.final_psi, "moves": moves}, nl
+        ),
+        ',\n  "tree": {\n    "depth": [\n      ', ",\n      ".join(map(str, tree.depth)),
+        '\n    ],\n    "edges": ', ("[\n      " + edges + "\n    ]") if edges else "[]",
+        '\n  },\n  "verification": ', _dump(
+            {"ok": verification.ok, "failures": _failures_json(verification.violations)}, nl
+        ),
+        "\n}\n",
+    ))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -199,7 +191,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     solution = solve(g, args.root)
     timing_ms = int((time.perf_counter() - started) * 1000)
-    _write_text(args.json, canonical_json(build_solve_report(solution, timing_ms)))
+    _write_text(args.json, build_solve_report(solution, timing_ms))
     if args.dot is not None:
         _write_text(args.dot, to_dot(g, solution.tree, solution.signs))
     if not solution.verification.ok:
@@ -249,7 +241,7 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
     if not isinstance(inputs, dict):
         raise ParseError("input must be a JSON object")
     root = inputs.get("root", 0)
-    if type(root) is not int or not 0 <= root < max(g.n, 1):
+    if type(root) is not int or not 0 <= root < g.n:
         raise ParseError(f"root {root!r} out of range")
     edges = []
     for row in edge_rows:
@@ -264,7 +256,10 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
         raise ParseError(f"tree does not fit the graph: {exc}") from None
     # A key that names a tree edge is taken from the tree; any other key is
     # parsed, and is then refused or becomes a label the verifier names.
-    tree_keys = {f"{u}-{v}": (u, v) for u, v in tree.sorted_edges()}
+    tree_keys = {
+        "%d-%d" % e: e
+        for e in ((v, p) if v < p else (p, v) for v, p in enumerate(tree.parent) if p is not None)
+    }
     signs: SignLabeling = {}
     for key, value in sign_rows.items():
         edge = tree_keys.get(key) or _parse_sign_key(key)

@@ -7,8 +7,27 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from treesign import emit_edge_list, exhaustive_check, gnp_graph, named_graph, oracle, solver
-from treesign.cli import BenchConfig, build_parser, canonical_json, main, parse_sizes, run_bench
+from treesign import (
+    Sign,
+    emit_edge_list,
+    enumerate_connected_graphs,
+    exhaustive_check,
+    gnp_graph,
+    make_graph,
+    named_graph,
+    oracle,
+    solve,
+    solver,
+)
+from treesign.cli import (
+    BenchConfig,
+    build_parser,
+    build_solve_report,
+    canonical_json,
+    main,
+    parse_sizes,
+    run_bench,
+)
 
 P4_TEXT = "4\n0 1\n1 2\n2 3\n"
 K3_TEXT = "3\n0 1\n0 2\n1 2\n"
@@ -106,6 +125,46 @@ def assert_canonical(text: str) -> None:
     """``text`` is what json.dumps(sort_keys=True, indent=2) writes for the
     value it holds, plus a final newline."""
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def reference_report(solution, timing_ms: int) -> dict:
+    """The solve report as a document: the fields build_solve_report writes,
+    built as plain JSON values."""
+    tree, trace, verification = solution.tree, solution.trace, solution.verification
+    return {
+        "schema_version": 2,
+        "input": {"n": tree.graph.n, "m": tree.graph.m, "root": tree.root},
+        "tree": {"edges": [list(e) for e in tree.sorted_edges()], "depth": list(tree.depth)},
+        "signs": {f"{u}-{v}": s.value for (u, v), s in solution.signs.items()},
+        "trace": {
+            "initial_psi": trace.initial_psi,
+            "final_psi": trace.final_psi,
+            "moves": [
+                {"add": list(m.added), "remove": list(m.removed), "delta": m.delta_psi}
+                for m in trace.moves
+            ],
+        },
+        "verification": {
+            "ok": verification.ok,
+            "failures": [
+                {
+                    "cotree_edge": list(v.cotree_edge),
+                    "path": list(v.path),
+                    "index": v.index,
+                    "failed": v.failed,
+                }
+                for v in verification.violations
+            ],
+        },
+        "timing_ms": timing_ms,
+    }
+
+
+def assert_report_bytes(solution, timing_ms: int = 17) -> str:
+    text = build_solve_report(solution, timing_ms)
+    reference = reference_report(solution, timing_ms)
+    assert text == json.dumps(reference, sort_keys=True, indent=2) + "\n"
+    return text
 
 
 def report_of(capsys):
@@ -282,6 +341,38 @@ class TestCanonicalJson:
             assert_canonical(out.read_text())
 
 
+class TestSolveReport:
+    """build_solve_report writes, without building it, the canonical JSON
+    of the report document."""
+
+    def test_every_small_graph_at_every_root(self):
+        for n in range(1, 5):
+            for g in enumerate_connected_graphs(n):
+                for root in range(n):
+                    assert_report_bytes(solve(g, root))
+
+    def test_single_vertex(self):
+        solution = solve(named_graph("path", (1,)))
+        doc = json.loads(assert_report_bytes(solution))
+        assert doc["tree"]["edges"] == [] and doc["signs"] == {} and doc["trace"]["moves"] == []
+
+    def test_sign_keys_sort_as_strings(self):
+        star, _ = make_graph(31, [(1, v) for v in range(31) if v != 1])
+        keys = list(json.loads(assert_report_bytes(solve(star, 1)))["signs"])
+        assert keys.index("1-2") < keys.index("1-20") < keys.index("1-29") < keys.index("1-3")
+
+    def test_failed_verification(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "assign_signs", lambda t: {e: Sign.PLUS for e in t.tree_edges})
+        k4 = named_graph("complete", (4,))
+        solution = solve(k4)
+        assert not solution.verification.ok
+        assert_report_bytes(solution)
+        assert main(["solve", write(tmp_path, "k4.edges", emit_edge_list(k4))]) == 4
+        out = capsys.readouterr().out
+        assert_canonical(out)
+        assert json.loads(out)["verification"]["failures"]
+
+
 class TestVerify:
     def solve_to_file(self, tmp_path, capsys):
         graph = write(tmp_path, "k3.edges", K3_TEXT)
@@ -392,6 +483,12 @@ class TestVerify:
         deep = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
         assert main(["verify", graph, deep]) == 2
         assert "error: solution is not valid JSON" in capsys.readouterr().err
+
+    def test_graph_without_vertices(self, tmp_path, capsys):
+        graph = write(tmp_path, "empty.edges", "0\n")
+        solution = write(tmp_path, "doc.json", json.dumps({"tree": {"edges": []}, "signs": {}}))
+        assert main(["verify", graph, solution]) == 2
+        assert "out of range" in capsys.readouterr().err
 
     def test_label_on_a_non_tree_edge(self, tmp_path, capsys):
         graph = write(tmp_path, "k3.edges", K3_TEXT)
