@@ -153,7 +153,8 @@ def build_solve_report(solution: Solution, timing_ms: int) -> str:
     """The solve report's canonical text, written from the solution.
 
     The bytes are canonical_json's for the report document, which is never
-    built: each bulk field is formatted in one pass. Sign lines are sorted
+    built: each bulk field is formatted in one pass, tree edges and moves
+    with one ``%`` template per item. Sign lines are sorted
     as strings, which sorts their keys, because a key's closing quote sorts
     before '-' and every digit ("1-2" before "1-23").
     """
@@ -164,20 +165,21 @@ def build_solve_report(solution: Solution, timing_ms: int) -> str:
     signs = ",\n".join(
         sorted([f'    "{u}-{v}": "{s._value_}"' for (u, v), s in solution.signs.items()])
     )
-    moves = [
-        {"add": _edge_json(m.added), "remove": _edge_json(m.removed), "delta": m.delta_psi}
-        for m in trace.moves
-    ]
+    move = (
+        '{\n        "add": [\n          %d,\n          %d\n        ],\n        "delta": %d,'
+        '\n        "remove": [\n          %d,\n          %d\n        ]\n      }'
+    )
+    moves = ",\n      ".join([move % (*m.added, m.delta_psi, *m.removed) for m in trace.moves])
     nl = "\n  "
     return "".join((
         '{\n  "input": ', _dump({"n": tree.graph.n, "m": tree.graph.m, "root": tree.root}, nl),
         ',\n  "schema_version": ', str(SCHEMA_VERSION),
         ',\n  "signs": ', ("{\n" + signs + "\n  }") if signs else "{}",
         ',\n  "timing_ms": ', str(timing_ms),
-        ',\n  "trace": ', _dump(
-            {"initial_psi": trace.initial_psi, "final_psi": trace.final_psi, "moves": moves}, nl
-        ),
-        ',\n  "tree": {\n    "depth": [\n      ', ",\n      ".join(map(str, tree.depth)),
+        ',\n  "trace": {\n    "final_psi": ', str(trace.final_psi),
+        ',\n    "initial_psi": ', str(trace.initial_psi),
+        ',\n    "moves": ', ("[\n      " + moves + "\n    ]") if moves else "[]",
+        '\n  },\n  "tree": {\n    "depth": [\n      ', ",\n      ".join(map(str, tree.depth)),
         '\n    ],\n    "edges": ', ("[\n      " + edges + "\n    ]") if edges else "[]",
         '\n  },\n  "verification": ', _dump(
             {"ok": verification.ok, "failures": _failures_json(verification.violations)}, nl

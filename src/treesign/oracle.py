@@ -22,7 +22,7 @@ from typing import Iterator
 
 from .graphs import Edge, Graph, Vertex, breadth_first, graph_key, is_connected
 from .solver import solve
-from .trees import RootedTree, cotree_path_is_monotone, require_connected, root_edges
+from .trees import RootedTree, ancestor_related, require_connected, root_edges
 
 DEFAULT_TREE_CAP = 1_000_000
 
@@ -189,15 +189,15 @@ def _potential_table(
     count = 0
     non_monotone: list[int] = []
     for count, t in enumerate(enumerate_spanning_trees(g, root, max_trees), 1):
-        parent = t.parent
+        parent, depth = t.parent, t.depth
         mask = 0
         monotone = True
         for (u, v), bit in edge_bits:
             if parent[u] == v or parent[v] == u:
                 mask |= bit
             elif monotone:
-                monotone = cotree_path_is_monotone(t, (u, v))
-        table[mask] = sum(t.depth)
+                monotone = ancestor_related(parent, depth, u, v)
+        table[mask] = sum(depth)
         if not monotone:
             non_monotone.append(mask)
     return table, count, non_monotone

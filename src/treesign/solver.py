@@ -26,6 +26,7 @@ from .graphs import Edge, Graph, Vertex, canonical_edge
 from .trees import (
     RootedTree,
     SwapMove,
+    ancestor_related,
     apply_swap,
     bfs_tree,
     cotree_edges,
@@ -196,11 +197,10 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     queued ones so that no edge is pushed twice.
 
     Queue invariant. Every cotree edge whose fundamental path is not
-    monotone is queued; a pop re-tests its edge by walking the tree path
-    (a path is monotone iff its valley index is an end), so
-    healed entries are dropped and the first violating pop is the
-    lexicographically first violation. Initially every cotree edge is
-    queued.
+    monotone is queued; a pop re-tests its edge by the ancestor walk
+    (ancestor_related), so healed entries are dropped without building
+    their path, and the first violating pop is the lexicographically
+    first violation. Initially every cotree edge is queued.
 
     Re-queue. Let e's path be a ... top ... b. The exchange removes an
     edge (top, child) at the valley, so the
@@ -217,9 +217,10 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     - re-rooting the component from child to inner changes an ancestor
       relation inside it only for pairs with an endpoint on the chain
       inner ... child, which is the branch itself.
-    So a move probes only the chain's neighbours, testing each against the
-    chain position of its lowest chain ancestor and its new depth. Subtree
-    sizes, which price the candidates, change only on the path.
+    So a move probes only the neighbours of the chain below inner (the
+    component's new root, an ancestor of all of it), testing each against
+    the chain position of its lowest chain ancestor and its new depth.
+    Subtree sizes, which price the candidates, change only on the path.
     """
     t = bfs_tree(g, root)
     initial_psi = potential(t)
@@ -247,10 +248,10 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
         e = heappop(heap)
         queued.remove(e)
         a, b = e
+        if ancestor_related(parent, depth, a, b):
+            continue  # monotone
         path = tree_path(parent, depth, a, b)
         k = valley_index(depth, path)
-        if not 0 < k < len(path) - 1:
-            continue  # monotone: one endpoint is an ancestor of the other
         left, right = _valley_gains(path, k, depth, size)
         # The component is the branch below top that holds the inner
         # endpoint; the other branch, outer up to just below top, gains it.
@@ -296,7 +297,8 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
             parent[c] = prev
             prev_size, size[c] = size[c], comp_size - prev_size
 
-        for i, c in enumerate(chain):
+        for i in range(1, len(chain)):  # at i = 0 no x has 0 <= low[x] < i
+            c = chain[i]
             for x in adjacency[c]:
                 lx = low[x]
                 # x is in the component, c is not its ancestor, x is off the

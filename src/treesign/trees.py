@@ -171,17 +171,24 @@ def cotree_path_is_monotone(t: RootedTree, e: Edge) -> bool:
 
     Depths along a tree path step by exactly 1, falling toward the two
     endpoints' lowest common ancestor and rising after it, so the path is
-    monotone exactly when one endpoint is an ancestor of the other. Decided
-    by walking the deeper endpoint up, without building the path. The
-    oracle's table pass and the solver's restart reference read it.
+    monotone exactly when one endpoint is an ancestor of the other
+    (ancestor_related). The solver's restart reference reads it.
     """
-    u, v = e
-    parent, depth = t.parent, t.depth
-    if depth[u] > depth[v]:
-        u, v = v, u
-    for _ in range(depth[v] - depth[u]):
-        v = parent[v]  # type: ignore[assignment]
-    return v == u
+    return ancestor_related(t.parent, t.depth, *e)
+
+
+def ancestor_related(
+    parent: Sequence[Vertex | None], depth: Sequence[int], a: Vertex, b: Vertex
+) -> bool:
+    """True iff one of ``a`` and ``b`` is an ancestor-or-self of the other,
+    given parent and depth maps of a rooted tree. Decided by walking the
+    deeper one up, without building the path: the ascent's pop test, the
+    oracle's table pass and cotree_path_is_monotone share this walk."""
+    if depth[a] > depth[b]:
+        a, b = b, a
+    for _ in range(depth[b] - depth[a]):
+        b = parent[b]  # type: ignore[assignment]
+    return a == b
 
 
 def fundamental_path(t: RootedTree, e: Edge) -> tuple[Vertex, ...]:

@@ -361,6 +361,23 @@ class TestSolveReport:
         keys = list(json.loads(assert_report_bytes(solve(star, 1)))["signs"])
         assert keys.index("1-2") < keys.index("1-20") < keys.index("1-29") < keys.index("1-3")
 
+    @pytest.mark.parametrize(
+        "graph, root",
+        [
+            (named_graph("complete", (12,)), 0),
+            (named_graph("complete", (12,)), 11),
+            (named_graph("hypercube", (4,)), 0),
+            (gnp_graph(40, 0.3, 1), 0),
+        ],
+        ids=["K12-root0", "K12-root11", "hypercube4", "gnp40"],
+    )
+    def test_long_move_lists(self, graph, root):
+        """The per-move template at list length and vertex width beyond
+        the small graphs'."""
+        moves = json.loads(assert_report_bytes(solve(graph, root)))["trace"]["moves"]
+        assert len(moves) >= 10
+        assert any(max(m["add"] + m["remove"]) >= 10 for m in moves)
+
     def test_failed_verification(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "assign_signs", lambda t: {e: Sign.PLUS for e in t.tree_edges})
         k4 = named_graph("complete", (4,))

@@ -472,7 +472,7 @@ class TestFailuresTheTableMustNotHide:
     def test_a_local_maximum_with_a_non_monotone_path_is_reported(self, monkeypatch):
         # Every cotree path now reads non-monotone, so each tree that no
         # exchange improves breaks check (b), and the maximiser breaks (a).
-        monkeypatch.setattr(oracle, "cotree_path_is_monotone", lambda t, e: False)
+        monkeypatch.setattr(oracle, "ancestor_related", lambda parent, depth, a, b: False)
         report = exhaustive_check(K3, 0)
         assert not report.all_local_maxima_conform and not report.ok
         assert not report.global_max_conforms

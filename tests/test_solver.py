@@ -36,7 +36,7 @@ from treesign.solver import (
     _valley_gains,
     falsification_instance,
 )
-from treesign.trees import cotree_path_is_monotone, valley_index
+from treesign.trees import cotree_path_is_monotone, tree_path, valley_index
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -237,6 +237,31 @@ class TestMonotoneSpanningTree:
     def test_matches_restart_reference_mid_size(self, family, params, moves):
         trace = assert_matches_restart_reference(named_graph(family, params), 0)
         assert len(trace.moves) == moves
+
+    def test_only_moving_pops_build_a_tree_path(self, monkeypatch):
+        """A pop whose path is monotone is dropped by the ancestor walk
+        alone; only the pops that make a move build their tree path."""
+        cases = [
+            (g, root)
+            for n in range(1, 6)
+            for g in enumerate_connected_graphs(n)
+            for root in range(n)
+        ]
+        cases += [(named_graph("complete", (12,)), 0), (gnp_graph(40, 0.3, 1), 0)]
+        traces = [monotone_spanning_tree(g, root)[1] for g, root in cases]
+        calls = 0
+
+        def counted_tree_path(*args):
+            nonlocal calls
+            calls += 1
+            return tree_path(*args)
+
+        monkeypatch.setattr(treesign.solver, "tree_path", counted_tree_path)
+        for (g, root), trace in zip(cases, traces):
+            calls = 0
+            assert monotone_spanning_tree(g, root)[1] == trace
+            assert calls == len(trace.moves)
+        assert len(traces[-2].moves) > 0 and len(traces[-1].moves) > 0
 
     def test_long_cycle_rehangs_one_branch_in_one_move(self):
         # The breadth-first tree of an odd cycle is two branches of 10,000

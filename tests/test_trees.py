@@ -13,6 +13,7 @@ from treesign import (
     canonical_edge,
     cotree_edges,
     delta_potential,
+    enumerate_connected_graphs,
     enumerate_spanning_trees,
     fundamental_path,
     make_graph,
@@ -20,7 +21,13 @@ from treesign import (
     potential,
     tree_from_edges,
 )
-from treesign.trees import cotree_path_is_monotone, root_edges, tree_path, valley_index
+from treesign.trees import (
+    ancestor_related,
+    cotree_path_is_monotone,
+    root_edges,
+    tree_path,
+    valley_index,
+)
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -240,6 +247,25 @@ class TestMonotoneReport:
             path = fundamental_path(t, e)
             k = valley_index(t.depth, path)
             assert (k in (0, len(path) - 1)) == cotree_path_is_monotone(t, e)
+
+    def test_ancestor_walk_matches_the_valley_rule_exhaustively(self):
+        """The ascent's pop test, the oracle's table pass and the restart
+        reference all decide monotonicity by ancestor_related; here it is
+        checked against the path's valley on every spanning tree of every
+        connected graph with n <= 5, at every root."""
+        verdicts = set()
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                for root in range(n):
+                    for t in enumerate_spanning_trees(g, root):
+                        parent, depth = t.parent, t.depth
+                        for a, b in cotree_edges(t):
+                            p = tree_path(parent, depth, a, b)
+                            monotone = not 0 < valley_index(depth, p) < len(p) - 1
+                            assert ancestor_related(parent, depth, a, b) == monotone
+                            assert ancestor_related(parent, depth, b, a) == monotone
+                            verdicts.add(monotone)
+        assert verdicts == {True, False}
 
     @given(rooted_spanning_trees())
     def test_peaks_never_occur_on_tree_paths(self, t):
