@@ -16,9 +16,10 @@ with no improving exchange, or a failed oracle check — never expected).
 Reports are canonical JSON (schema_version 2): the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline, with
 sorted edge lists. The solve report is written straight from the solution
-(build_solve_report); canonical_json writes verify output and oracle
-witnesses. Identical inputs give byte-identical reports except for the
-timing_ms field.
+(build_solve_report): its bulk fields from ``%`` templates, its ``input``
+and ``verification`` fields by json.dumps itself, which also writes verify
+output and oracle witnesses (canonical_json). Identical inputs give
+byte-identical reports except for the timing_ms field.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .graphs import (
@@ -66,33 +65,9 @@ EXIT_FALSIFIED = 5
 
 
 def canonical_json(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline.
-
-    CPython's C encoder runs only without ``indent``, so the bytes are
-    written here, specialised to dicts with ``str`` keys and lists of ints.
-    Any other value is handed to ``json.dumps`` itself. This writes verify
-    output and oracle witnesses; build_solve_report writes the solve
-    report's small fields through ``_dump`` too.
-    """
-    return _dump(doc, "\n") + "\n"
-
-
-def _dump(x, nl: str) -> str:
-    """``x`` as json.dumps(x, sort_keys=True, indent=2) writes it when it
-    starts a line indented by ``nl`` (a newline and the indent)."""
-    if type(x) is int:
-        return str(x)
-    if isinstance(x, (list, dict)) and not x:
-        return "[]" if isinstance(x, list) else "{}"
-    inner = nl + "  "
-    if isinstance(x, dict) and all(type(k) is str for k in x):
-        body = [_quote(k) + ": " + _dump(x[k], inner) for k in sorted(x)]
-        return "{" + inner + ("," + inner).join(body) + nl + "}"
-    if isinstance(x, list):
-        body = map(str, x) if all(type(v) is int for v in x) else [_dump(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(body) + nl + "]"
-    # Byte-exact: a JSON text holds no raw newline outside its layout.
-    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline:
+    verify output and oracle witnesses."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _read_text(path: str) -> str:
@@ -133,14 +108,10 @@ def _report_normalization(log: NormalizationLog) -> None:
         print(f"note: {warning}", file=sys.stderr)
 
 
-def _edge_json(e: Edge) -> list[int]:
-    return [e[0], e[1]]
-
-
 def _failures_json(violations) -> list[dict]:
     return [
         {
-            "cotree_edge": _edge_json(v.cotree_edge),
+            "cotree_edge": list(v.cotree_edge),
             "path": list(v.path),
             "index": v.index,
             "failed": v.failed,
@@ -154,7 +125,8 @@ def build_solve_report(solution: Solution, timing_ms: int) -> str:
 
     The bytes are canonical_json's for the report document, which is never
     built: each bulk field is formatted in one pass, tree edges and moves
-    with one ``%`` template per item. Sign lines are sorted
+    with one ``%`` template per item, and the small ``input`` and
+    ``verification`` objects by json.dumps. Sign lines are sorted
     as strings, which sorts their keys, because a key's closing quote sorts
     before '-' and every digit ("1-2" before "1-23").
     """
@@ -170,9 +142,13 @@ def build_solve_report(solution: Solution, timing_ms: int) -> str:
         '\n        "remove": [\n          %d,\n          %d\n        ]\n      }'
     )
     moves = ",\n      ".join([move % (*m.added, m.delta_psi, *m.removed) for m in trace.moves])
-    nl = "\n  "
+
+    def field(doc: dict) -> str:
+        # Re-indented one level; a JSON text holds no raw newline outside its layout.
+        return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n  ")
+
     return "".join((
-        '{\n  "input": ', _dump({"n": tree.graph.n, "m": tree.graph.m, "root": tree.root}, nl),
+        '{\n  "input": ', field({"n": tree.graph.n, "m": tree.graph.m, "root": tree.root}),
         ',\n  "schema_version": ', str(SCHEMA_VERSION),
         ',\n  "signs": ', ("{\n" + signs + "\n  }") if signs else "{}",
         ',\n  "timing_ms": ', str(timing_ms),
@@ -181,9 +157,8 @@ def build_solve_report(solution: Solution, timing_ms: int) -> str:
         ',\n    "moves": ', ("[\n      " + moves + "\n    ]") if moves else "[]",
         '\n  },\n  "tree": {\n    "depth": [\n      ', ",\n      ".join(map(str, tree.depth)),
         '\n    ],\n    "edges": ', ("[\n      " + edges + "\n    ]") if edges else "[]",
-        '\n  },\n  "verification": ', _dump(
-            {"ok": verification.ok, "failures": _failures_json(verification.violations)}, nl
-        ),
+        '\n  },\n  "verification": ',
+        field({"ok": verification.ok, "failures": _failures_json(verification.violations)}),
         "\n}\n",
     ))
 
@@ -349,28 +324,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    """One bench sweep: a family, instance sizes, seed count for random
-    draws, and the edge probability for gnp."""
-
-    family: str
-    sizes: tuple[int, ...]
-    seeds: int = 1
-    p: float = 0.3
-
-    def instances(self):
-        """Yield (size, seed, graph); disconnected random draws yield a
-        graph of None so callers can record the skip."""
-        for size in self.sizes:
-            if self.family == "gnp":
-                for seed in range(self.seeds):
-                    g = gnp_graph(size, self.p, seed)
-                    yield size, seed, (g if is_connected(g) else None)
-            else:
-                yield size, 0, named_graph(self.family, (size,))
-
-
 BENCH_FAMILIES = ("path", "cycle", "complete", "hypercube", "gnp")
 
 CSV_HEADER = ("family", "n", "m", "seed", "moves", "initial_psi", "final_psi", "ms")
@@ -398,37 +351,31 @@ def parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def run_bench(config: BenchConfig) -> tuple[list[tuple], int]:
-    """Solve every instance, timing each solve() with its verification;
-    returns (rows, skipped count)."""
+def run_bench(
+    family: str, sizes: Sequence[int], seeds: int = 1, p: float = 0.3
+) -> tuple[list[tuple], int]:
+    """Solve one instance of ``family`` per size, or ``seeds`` G(size, p)
+    draws for gnp, timing each solve() with its verification; returns
+    (rows, skipped count). Disconnected draws are skipped with a note."""
     rows: list[tuple] = []
     skipped = 0
-    for size, seed, g in config.instances():
-        if g is None:
-            skipped += 1
-            print(
-                f"note: skipped disconnected draw {config.family} n={size} seed={seed}",
-                file=sys.stderr,
+    gnp = family == "gnp"
+    for size in sizes:
+        for seed in range(seeds) if gnp else (0,):
+            g = gnp_graph(size, p, seed) if gnp else named_graph(family, (size,))
+            if gnp and not is_connected(g):
+                skipped += 1
+                print(f"note: skipped disconnected draw gnp n={size} seed={seed}", file=sys.stderr)
+                continue
+            started = time.perf_counter()
+            solution = solve(g)
+            ms = int((time.perf_counter() - started) * 1000)
+            if not solution.verification.ok:
+                raise AssertionError(f"bench instance failed verification: {graph_key(g)}")
+            trace = solution.trace
+            rows.append(
+                (family, g.n, g.m, seed, len(trace.moves), trace.initial_psi, trace.final_psi, ms)
             )
-            continue
-        started = time.perf_counter()
-        solution = solve(g)
-        ms = int((time.perf_counter() - started) * 1000)
-        if not solution.verification.ok:
-            raise AssertionError(f"bench instance failed verification: {graph_key(g)}")
-        trace = solution.trace
-        rows.append(
-            (
-                config.family,
-                g.n,
-                g.m,
-                seed,
-                len(trace.moves),
-                trace.initial_psi,
-                trace.final_psi,
-                ms,
-            )
-        )
     return rows, skipped
 
 
@@ -440,11 +387,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"unknown bench family {family!r}; expected one of {', '.join(BENCH_FAMILIES)}"
             )
     sizes = parse_sizes(args.sizes)
+    if args.seeds < 1:
+        raise ParseError(f"--seeds must be at least 1, got {args.seeds}")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for family in families:
-        rows, _ = run_bench(BenchConfig(family, sizes, args.seeds, args.p))
+        rows, _ = run_bench(family, sizes, args.seeds, args.p)
         writer.writerows(rows)
     _write_text(args.csv, buffer.getvalue())
     return EXIT_OK

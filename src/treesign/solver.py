@@ -30,7 +30,6 @@ from .trees import (
     apply_swap,
     bfs_tree,
     cotree_edges,
-    cotree_path_is_monotone,
     delta_potential,
     fundamental_path,
     potential,
@@ -154,7 +153,7 @@ def find_improving_swap(t: RootedTree, e: Edge) -> SwapMove:
     """
     e = canonical_edge(*e)
     path = fundamental_path(t, e)
-    if cotree_path_is_monotone(t, e):
+    if ancestor_related(t.parent, t.depth, *e):
         raise ValueError(f"fundamental path of {e} is monotone; nothing to improve")
     deltas = [
         delta_potential(t, e, canonical_edge(path[j], path[j + 1])) for j in range(len(path) - 1)
@@ -328,7 +327,7 @@ def _monotone_spanning_tree_restart(g: Graph, root: Vertex = 0) -> tuple[RootedT
     while True:
         violating = None
         for e in cotree_edges(t):
-            if not cotree_path_is_monotone(t, e):
+            if not ancestor_related(t.parent, t.depth, *e):
                 violating = e
                 break
         if violating is None:

@@ -166,24 +166,19 @@ def cotree_edges(t: RootedTree) -> tuple[Edge, ...]:
     return tuple((u, v) for u, v in t.graph.edges if parent[u] != v and parent[v] != u)
 
 
-def cotree_path_is_monotone(t: RootedTree, e: Edge) -> bool:
-    """True iff the fundamental path of ``e`` has strictly monotone depths.
-
-    Depths along a tree path step by exactly 1, falling toward the two
-    endpoints' lowest common ancestor and rising after it, so the path is
-    monotone exactly when one endpoint is an ancestor of the other
-    (ancestor_related). The solver's restart reference reads it.
-    """
-    return ancestor_related(t.parent, t.depth, *e)
-
-
 def ancestor_related(
     parent: Sequence[Vertex | None], depth: Sequence[int], a: Vertex, b: Vertex
 ) -> bool:
     """True iff one of ``a`` and ``b`` is an ancestor-or-self of the other,
     given parent and depth maps of a rooted tree. Decided by walking the
-    deeper one up, without building the path: the ascent's pop test, the
-    oracle's table pass and cotree_path_is_monotone share this walk."""
+    deeper one up, without building the path.
+
+    For a cotree edge (a, b) this is the test of whether its fundamental
+    path is monotone: depths along a tree path step by exactly 1, falling
+    toward the endpoints' lowest common ancestor and rising after it, so
+    the path is monotone exactly when that ancestor is an endpoint. The
+    ascent's pop test, the oracle's table pass and the solver's restart
+    reference share this walk."""
     if depth[a] > depth[b]:
         a, b = b, a
     for _ in range(depth[b] - depth[a]):

@@ -28,7 +28,7 @@ from treesign import (
     tree_from_edges,
     verify_alternating,
 )
-from treesign.cli import BenchConfig, canonical_json, main, run_bench
+from treesign.cli import canonical_json, main, run_bench
 
 CORPUS_SIZES = {2: 1, 3: 4, 4: 38, 5: 728}
 
@@ -225,7 +225,7 @@ def test_criterion_8_desk_scale_performance(report):
         assert solve_s < 10.0, f"solve took {solve_s:.1f}s, budget 10s"
 
         started = time.perf_counter()
-        rows, skipped = run_bench(BenchConfig(family="complete", sizes=(50, 100, 150, 200)))
+        rows, skipped = run_bench("complete", (50, 100, 150, 200))
         bench_s = time.perf_counter() - started
         assert len(rows) == 4 and skipped == 0
         assert bench_s < 60.0, f"bench took {bench_s:.1f}s, budget 60s"

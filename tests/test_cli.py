@@ -20,7 +20,6 @@ from treesign import (
     solver,
 )
 from treesign.cli import (
-    BenchConfig,
     build_parser,
     build_solve_report,
     canonical_json,
@@ -648,6 +647,8 @@ class TestBench:
         capsys.readouterr()
         assert main(["bench", "--family", "path", "--sizes", "a..5"]) == 2
         assert capsys.readouterr().err == "error: malformed size range 'a..5'\n"
+        assert main(["bench", "--family", "gnp", "--sizes", "5", "--seeds", "-2"]) == 2
+        assert capsys.readouterr() == ("", "error: --seeds must be at least 1, got -2\n")
 
 
 class TestBenchHelpers:
@@ -657,8 +658,7 @@ class TestBenchHelpers:
         assert parse_sizes("1, 3..5") == (1, 3, 4, 5)
 
     def test_disconnected_draws_are_skipped(self, capsys):
-        config = BenchConfig(family="gnp", sizes=(20,), seeds=1, p=0.01)
-        rows, skipped = run_bench(config)
+        rows, skipped = run_bench("gnp", (20,), seeds=1, p=0.01)
         assert rows == [] and skipped == 1
         assert "skipped disconnected draw" in capsys.readouterr().err
 

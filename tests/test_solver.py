@@ -36,7 +36,7 @@ from treesign.solver import (
     _valley_gains,
     falsification_instance,
 )
-from treesign.trees import cotree_path_is_monotone, tree_path, valley_index
+from treesign.trees import ancestor_related, tree_path, valley_index
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -135,7 +135,7 @@ class TestFindImprovingSwap:
             for g in enumerate_connected_graphs(n):
                 for t in enumerate_spanning_trees(g, 0):
                     for e in cotree_edges(t):
-                        if not cotree_path_is_monotone(t, e):
+                        if not ancestor_related(t.parent, t.depth, *e):
                             path = fundamental_path(t, e)
                             k = valley_index(t.depth, path)
                             deltas = [d for _, d in _candidate_deltas(t, e)]

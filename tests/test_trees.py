@@ -23,7 +23,6 @@ from treesign import (
 )
 from treesign.trees import (
     ancestor_related,
-    cotree_path_is_monotone,
     root_edges,
     tree_path,
     valley_index,
@@ -230,7 +229,7 @@ class TestMonotoneReport:
         t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
         path = fundamental_path(t, (1, 2))
         assert valley_index(t.depth, path) == 1
-        assert not cotree_path_is_monotone(t, (1, 2))
+        assert not ancestor_related(t.parent, t.depth, 1, 2)
 
     def test_increasing(self):
         t = tree_from_edges(K4, [(0, 1), (1, 2), (2, 3)], 0)
@@ -246,7 +245,7 @@ class TestMonotoneReport:
         for e in cotree_edges(t):
             path = fundamental_path(t, e)
             k = valley_index(t.depth, path)
-            assert (k in (0, len(path) - 1)) == cotree_path_is_monotone(t, e)
+            assert (k in (0, len(path) - 1)) == ancestor_related(t.parent, t.depth, *e)
 
     def test_ancestor_walk_matches_the_valley_rule_exhaustively(self):
         """The ascent's pop test, the oracle's table pass and the restart
