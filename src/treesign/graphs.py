@@ -11,6 +11,7 @@ of edge sets and the oracle's assignment order all run it.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -190,6 +191,15 @@ def graph_key(g: Graph) -> str:
 # parsing and emission
 
 
+# A plain edge list, as emit_edge_list writes it: a decimal header line,
+# then "u v" lines of ASCII digits and one space, every line ending in "\n".
+# Up to 18 digits, which int() always converts; a longer index takes the
+# line loop.
+_PLAIN_HEADER = re.compile(r"([0-9]{1,18})\n")
+_PLAIN_LINES = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+_BLOCK_CHARS = 1 << 16
+
+
 def parse_edge_list(text: str) -> tuple[Graph, NormalizationLog]:
     """Parse the plain edge-list format.
 
@@ -197,7 +207,45 @@ def parse_edge_list(text: str) -> tuple[Graph, NormalizationLog]:
     vertex count; every other content line holds two whitespace-separated
     0-based endpoints. Blank lines and lines starting with '#' are skipped.
     Without a header, the vertex count is 1 + the largest index seen.
+
+    A plain edge list (emit_edge_list's shape) is read in blocks of about
+    64 KiB, so no token list spans the whole text. Any other text, and a
+    plain one with a fault, is read line by line; only that reading names
+    a faulty line.
     """
+    return _parse_plain_edge_list(text) or _parse_edge_list_lines(text)
+
+
+def _parse_plain_edge_list(text: str) -> tuple[Graph, NormalizationLog] | None:
+    """The graph of a plain edge list with every index below the header's
+    count, or None for any other text. Each block is cut at a line end and
+    checked whole by one regular expression before it is split."""
+    header = _PLAIN_HEADER.match(text)
+    if header is None:
+        return None
+    n = int(header[1])
+    pairs: list[tuple[int, int]] = []
+    start = header.end()
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        block = text[start:end]
+        if _PLAIN_LINES.fullmatch(block) is None:
+            return None
+        indices = list(map(int, block.split()))
+        if max(indices) >= n:
+            return None
+        it = iter(indices)
+        pairs.extend(zip(it, it))
+        start = end
+    try:
+        # Graph refuses pairs that are not canonical and strictly increasing.
+        return Graph(n, tuple(pairs)), NormalizationLog()
+    except ValueError:
+        return make_graph(n, pairs)
+
+
+def _parse_edge_list_lines(text: str) -> tuple[Graph, NormalizationLog]:
+    """parse_edge_list line by line; a ParseError names the faulty line."""
     pairs: list[tuple[int, int]] = []
     declared_n: int | None = None
     first_content = True
@@ -212,15 +260,8 @@ def parse_edge_list(text: str) -> tuple[Graph, NormalizationLog]:
         first_content = False
         if len(tokens) != 2:
             raise ParseError("expected two vertex indices", lineno)
-        # Inline int() on the common path; _parse_index names a bad token.
-        try:
-            u = int(tokens[0])
-            v = int(tokens[1])
-        except ValueError:
-            u = v = -1
-        if u < 0 or v < 0:
-            u = _parse_index(tokens[0], lineno)
-            v = _parse_index(tokens[1], lineno)
+        u = _parse_index(tokens[0], lineno)
+        v = _parse_index(tokens[1], lineno)
         if declared_n is not None and (u >= declared_n or v >= declared_n):
             raise ParseError(
                 f"vertex index out of range for n={declared_n}", lineno

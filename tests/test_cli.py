@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 
 from treesign import (
     Sign,
+    cli,
     emit_edge_list,
     enumerate_connected_graphs,
     exhaustive_check,
@@ -182,6 +184,51 @@ class TestUsage:
     def test_help(self, capsys):
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
+
+
+class TestCollectorPause:
+    """main runs a command with the cyclic collector paused and hands the
+    collector back in the state the caller left it, however the command
+    ends."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_the_command_runs_paused(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(gc.isenabled()) or 0)
+        assert gc.isenabled()
+        assert main(["solve", write(tmp_path, "p4.edges", P4_TEXT)]) == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize(
+        "text, options, code",
+        [
+            (P4_TEXT, [], 0),
+            ("3\n0 1 2\n", [], 2),
+            ("4\n0 1\n2 3\n", [], 3),
+            (P4_TEXT, ["--root", "x"], 2),
+        ],
+        ids=["exit-0", "malformed", "disconnected", "argparse-error"],
+    )
+    def test_the_caller_state_is_restored(self, tmp_path, capsys, caller_state, text, options, code):
+        assert main(["solve", write(tmp_path, "g.edges", text), *options]) == code
+        assert gc.isenabled() is caller_state
+
+    def test_the_caller_state_is_restored_after_an_escaping_error(
+        self, tmp_path, monkeypatch, caller_state
+    ):
+        def crash(args):
+            raise RuntimeError("escapes main")
+
+        monkeypatch.setattr(cli, "cmd_solve", crash)
+        with pytest.raises(RuntimeError, match="escapes main"):
+            main(["solve", write(tmp_path, "p4.edges", P4_TEXT)])
+        assert gc.isenabled() is caller_state
 
 
 class TestGen:

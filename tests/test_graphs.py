@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from treesign import (
     emit_edge_list,
     gnp_graph,
     graph_key,
+    graphs,
     is_connected,
     make_graph,
     named_graph,
@@ -138,6 +142,17 @@ class TestEdgeListFormat:
         parsed, log = parse_edge_list(emit_edge_list(g))
         assert parsed == g
         assert log.clean
+
+    def test_plain_text_peak_memory_stays_near_the_graph(self):
+        text = emit_edge_list(named_graph("path", (20000,)))
+        tracemalloc.start()
+        try:
+            parsed = parse_edge_list(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed[0].m == 19999
+        assert peak <= 1.5 * held
 
 
 # References for the parsers: one strip, startswith and split per line,
@@ -275,6 +290,27 @@ def graph_texts(draw, first, lines):
     return draw(st.sampled_from(["\n", "\r\n"])).join(text)
 
 
+@st.composite
+def plain_texts(draw):
+    """Plain edge lists (a header line, then "u v" lines of ASCII digits,
+    one space and "\\n") with indices up to the vertex count, so some are
+    out of range, and with loops, duplicates, reversed and unsorted pairs,
+    no edges at all, and leading zeros. Half are canonical edge lists."""
+    n = draw(st.integers(0, 6))
+    index = st.integers(0, n + 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=10))
+    if draw(st.booleans()):
+        pairs = sorted({(u, v) if u < v else (v, u) for u, v in pairs if u != v})
+    zeros = st.sampled_from([""] * 8 + ["0", "00"])
+    lines = [draw(zeros) + str(n)]
+    lines += [f"{draw(zeros)}{u} {draw(zeros)}{v}" for u, v in pairs]
+    if draw(st.integers(0, 9)) == 0:
+        # One index longer than int() reads on CPython 3.11 and later.
+        line = draw(st.integers(0, len(lines) - 1))
+        lines[line] = "0" * 4300 + lines[line]
+    return "".join(line + "\n" for line in lines)
+
+
 def parse_outcome(parse, text):
     try:
         return parse(text)
@@ -287,6 +323,34 @@ class TestParsersAgainstReferences:
     @settings(max_examples=400)
     def test_edge_list(self, text):
         assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
+
+    @given(plain_texts(), st.sampled_from([1, 5, 1 << 16]))
+    @settings(max_examples=400)
+    def test_plain_edge_list(self, text, block_chars):
+        # Blocks of 1 or 5 characters cut a small text after every line or two.
+        with mock.patch.object(graphs, "_BLOCK_CHARS", block_chars):
+            assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [None, ("\n19998 19999\n", "\n19998 20000\n"), ("\n10000 10001\n", "\n10001 10000\n")],
+        ids=["unchanged", "out-of-range-in-the-last-block", "reversed-pair-mid-file"],
+    )
+    def test_plain_edge_list_in_several_blocks(self, edit):
+        text = emit_edge_list(named_graph("path", (20000,)))
+        if edit is not None:
+            assert text.count(edit[0]) == 1
+            text = text.replace(*edit)
+        assert len(text) > 3 * graphs._BLOCK_CHARS
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
+
+    def test_plain_edge_list_is_read_in_blocks(self, monkeypatch):
+        def line_loop(text):
+            raise AssertionError("a plain edge list fell back to the line loop")
+
+        monkeypatch.setattr(graphs, "_parse_edge_list_lines", line_loop)
+        graph, log = parse_edge_list(emit_edge_list(named_graph("path", (20000,))))
+        assert graph == named_graph("path", (20000,)) and log.clean
 
     @given(graph_texts(P_LINE, DIMACS_LINES))
     @settings(max_examples=400)
