@@ -19,7 +19,9 @@ sorted edge lists. The solve report is written straight from the solution
 (build_solve_report): its bulk fields from ``%`` templates, its ``input``
 and ``verification`` fields by json.dumps itself, which also writes verify
 output and oracle witnesses (canonical_json). Identical inputs give
-byte-identical reports except for the timing_ms field.
+byte-identical reports except for the timing_ms field. The report's
+``signs`` map, keyed "u-v", meets the solver's per-vertex labeling only in
+build_solve_report and load_solution_document.
 
 main runs each command with the cyclic garbage collector paused and
 restores the caller's setting afterwards. The commands build large acyclic
@@ -58,7 +60,7 @@ from .graphs import (
 from .oracle import (
     DEFAULT_TREE_CAP, EnumerationLimitError, enumerate_connected_graphs, exhaustive_check
 )
-from .solver import NoImprovingSwapError, Sign, SignLabeling, Solution, solve, verify_alternating
+from .solver import NoImprovingSwapError, SignLabeling, Solution, solve, verify_alternating
 from .trees import DisconnectedGraphError, RootedTree, tree_from_edges
 
 SCHEMA_VERSION = 2
@@ -133,17 +135,19 @@ def build_solve_report(solution: Solution, timing_ms: int) -> str:
     The bytes are canonical_json's for the report document, which is never
     built: each bulk field is formatted in one pass, tree edges and moves
     with one ``%`` template per item, and the small ``input`` and
-    ``verification`` objects by json.dumps. Sign lines are sorted
-    as strings, which sorts their keys, because a key's closing quote sorts
+    ``verification`` objects by json.dumps. Each vertex but the root
+    gives one sign line, keyed by its parent edge; the lines are sorted as
+    strings, which sorts their keys, because a key's closing quote sorts
     before '-' and every digit ("1-2" before "1-23").
     """
     tree, trace, verification = solution.tree, solution.trace, solution.verification
     pair = "[\n        %d,\n        %d\n      ]"
     edges = ",\n      ".join([pair % e for e in tree.sorted_edges()])
-    # _value_ is the member's value without the Enum.value descriptor.
-    signs = ",\n".join(
-        sorted([f'    "{u}-{v}": "{s._value_}"' for (u, v), s in solution.signs.items()])
-    )
+    signs = ",\n".join(sorted([
+        f'    "{v}-{p}": "{s}"' if v < p else f'    "{p}-{v}": "{s}"'
+        for v, p, s in zip(range(tree.graph.n), tree.parent, solution.signs)
+        if p is not None
+    ]))
     move = (
         '{\n        "add": [\n          %d,\n          %d\n        ],\n        "delta": %d,'
         '\n        "remove": [\n          %d,\n          %d\n        ]\n      }'
@@ -184,9 +188,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SIGNS = {"+": Sign.PLUS, "-": Sign.MINUS}
-
-
 def _parse_sign_key(key: str) -> Edge:
     """Edge named by a signs key. Only the plain decimal spelling 'u-v' is
     accepted, so no two keys can name one edge."""
@@ -207,8 +208,9 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
 
     Everything recomputable (depths) is recomputed; contract violations
     (values of the wrong JSON type, tree edges outside the graph, malformed
-    keys, unknown signs) raise ParseError. JSON booleans are not integers
-    here, although Python treats them as such.
+    keys, unknown signs, labels that miss a tree edge or name another edge)
+    raise ParseError. JSON booleans are not integers here, although Python
+    treats them as such.
     """
     if not isinstance(doc, dict):
         raise ParseError("solution document must be a JSON object")
@@ -238,20 +240,26 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
         tree = tree_from_edges(g, edges, root)
     except ValueError as exc:
         raise ParseError(f"tree does not fit the graph: {exc}") from None
-    # A key that names a tree edge is taken from the tree; any other key is
-    # parsed, and is then refused or becomes a label the verifier names.
-    tree_keys = {
-        "%d-%d" % e: e
-        for e in ((v, p) if v < p else (p, v) for v, p in enumerate(tree.parent) if p is not None)
-    }
-    signs: SignLabeling = {}
+    # A key that names a tree edge labels its child; any other key is
+    # parsed, and is then refused or collected as a non-tree label.
+    child = {"%d-%d" % ((v, p) if v < p else (p, v)): v
+             for v, p in enumerate(tree.parent) if p is not None}
+    signs: list[str | None] = [None] * g.n
+    extra = []
     for key, value in sign_rows.items():
-        edge = tree_keys.get(key) or _parse_sign_key(key)
-        sign = _SIGNS.get(value) if type(value) is str else None
-        if sign is None:
+        v = child.get(key)
+        if v is None:
+            extra.append(_parse_sign_key(key))
+        if value != "+" and value != "-":
             raise ParseError(f"unknown sign {value!r} for edge {key}")
-        signs[edge] = sign
-    return tree, signs, root
+        if v is not None:
+            signs[v] = value
+    if extra or len(sign_rows) != g.n - 1:
+        missing = sorted(_parse_sign_key(key) for key, v in child.items() if signs[v] is None)
+        parts = [f"unlabeled tree edges {missing}"] if missing else []
+        parts += [f"labels for non-tree edges {sorted(extra)}"] if extra else []
+        raise ParseError("labeling does not match the tree edges: " + "; ".join(parts))
+    return tree, tuple(signs), root
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

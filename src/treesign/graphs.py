@@ -14,10 +14,9 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
-    from .solver import Sign
     from .trees import RootedTree
 
 Vertex = int
@@ -424,20 +423,20 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
 def to_dot(
     g: Graph,
     tree: "RootedTree | None" = None,
-    signs: "Mapping[Edge, Sign] | None" = None,
+    signs: "Sequence[str | None] | None" = None,
 ) -> str:
     """Graphviz text for the graph, optionally with a spanning tree overlay.
 
     Tree edges are solid and carry their sign as a label when one is given;
     cotree edges are dashed; vertices show their depth when a tree is given.
+    ``signs`` labels the edge (v, parent v) at v, as assign_signs does; None
+    leaves it unlabeled.
     """
-    if signs is not None and tree is None:
-        raise ValueError("sign labeling given without a tree")
-    tree_edges = tree.tree_edges if tree is not None else frozenset()
     if signs is not None:
-        for e in signs:
-            if e not in tree_edges:
-                raise ValueError(f"labeling references an edge not in the tree: {e}")
+        if tree is None:
+            raise ValueError("sign labeling given without a tree")
+        if len(signs) != g.n:
+            raise ValueError(f"labeling has {len(signs)} entries for {g.n} vertices")
     lines = ["graph {"]
     for v in range(g.n):
         if tree is not None:
@@ -447,12 +446,13 @@ def to_dot(
     for u, v in g.edges:
         if tree is None:
             lines.append(f"  {u} -- {v};")
-        elif (u, v) in tree_edges:
-            if signs is not None and (u, v) in signs:
-                lines.append(f'  {u} -- {v} [style=solid, label="{signs[(u, v)].value}"];')
-            else:
-                lines.append(f"  {u} -- {v} [style=solid];")
-        else:
+            continue
+        child = v if tree.parent[v] == u else u if tree.parent[u] == v else None
+        if child is None:
             lines.append(f"  {u} -- {v} [style=dashed];")
+        elif signs is None or signs[child] is None:
+            lines.append(f"  {u} -- {v} [style=solid];")
+        else:
+            lines.append(f'  {u} -- {v} [style=solid, label="{signs[child]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

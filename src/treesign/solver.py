@@ -2,20 +2,22 @@
 
 The solver ascends the potential by edge exchanges until every cotree
 edge's fundamental path is strictly monotone in depth, then labels each
-tree edge by the parity of its deeper endpoint's depth. The best exchange
-on a non-monotone path always removes one of the two path edges at its
-valley, so the ascent prices only those two, in closed form; the restart
-reference re-roots every candidate and takes its own argmax. Along a
-strictly monotone path the deeper-endpoint depths of consecutive edges
-differ by exactly 1, so the parity labels alternate. The verifier checks
-that property on any rooted tree and labeling, independent of how they
-were produced, in O(n + m): alternating runs of edges and preorder
-intervals decide every cotree edge without walking its path.
+tree edge by the parity of its deeper endpoint's depth. A labeling holds
+one sign per vertex: "+" or "-" for the edge to its parent, None at the
+root (SignLabeling), since each tree edge has exactly one child endpoint.
+The best exchange on a non-monotone path always removes one of the two
+path edges at its valley, so the ascent prices only those two, in closed
+form; the restart reference re-roots every candidate and takes its own
+argmax. Along a strictly monotone path the deeper-endpoint depths of
+consecutive edges differ by exactly 1, so the parity labels alternate.
+The verifier checks that property on any rooted tree and labeling,
+independent of how they were produced, in O(n + m): alternating runs of
+edges and preorder intervals decide every cotree edge without walking
+its path.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 from array import array
 from dataclasses import dataclass, field
@@ -38,18 +40,8 @@ from .trees import (
 )
 
 
-class Sign(enum.Enum):
-    PLUS = "+"
-    MINUS = "-"
-
-    def flipped(self) -> "Sign":
-        return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
-
-    def __str__(self) -> str:
-        return self.value
-
-
-SignLabeling = dict[Edge, Sign]
+# Entry v is the sign of the tree edge (v, parent v); the root's is None.
+SignLabeling = tuple[str | None, ...]
 
 
 class NoImprovingSwapError(RuntimeError):
@@ -340,13 +332,11 @@ def _monotone_spanning_tree_restart(g: Graph, root: Vertex = 0) -> tuple[RootedT
 
 def assign_signs(t: RootedTree) -> SignLabeling:
     """Label every tree edge by the parity of its deeper endpoint's depth:
-    plus when even, minus when odd. Well-defined on any rooted tree."""
-    depth = t.depth
-    plus, minus = Sign.PLUS, Sign.MINUS
-    return {
-        (u, v): minus if (depth[u] if depth[u] > depth[v] else depth[v]) % 2 else plus
-        for u, v in t.sorted_edges()
-    }
+    plus when even, minus when odd. Well-defined on any rooted tree. The
+    deeper endpoint of (v, parent v) is v, so entry v is v's parity."""
+    signs = [("+", "-")[d & 1] for d in t.depth]
+    signs[t.root] = None
+    return tuple(signs)
 
 
 @dataclass(frozen=True)
@@ -376,43 +366,37 @@ def verify_alternating(g: Graph, t: RootedTree, phi: SignLabeling) -> Verificati
     Along every cotree edge's fundamental path, consecutive tree edges
     must carry different signs. The check uses only the graph, the tree's
     parent and depth maps and the labeling, so it accepts hand-made
-    inputs. The labeling must be total on the tree edges and name nothing
-    else.
+    inputs. The labeling must hold one entry per vertex: None at the root
+    and "+" or "-" at every other vertex v, the sign of the tree edge
+    (v, parent v). Any other labeling raises a ValueError that names its
+    fault (the length, the root's entry, or the first other entry that is
+    not a sign) before any verdict.
 
-    Pass or fail costs O(n + m), with no path walk. Let up[v] be the sign
-    of the edge (v, parent v), and top[v] the highest vertex that an
-    alternating run of edges reaches going up from v. A path from b up to
-    its ancestor a alternates iff top[b] is no deeper than a. A path
-    a ... l ... b through the endpoints' lowest common ancestor l
-    alternates iff both runs reach l, that is iff the deeper of top[a]
-    and top[b] is an ancestor of both endpoints, and the two edges at l
-    differ. A run flips the sign at every step, so those edges carry up[a]
-    flipped depth(a) - depth(l) - 1 times and up[b] flipped
-    depth(b) - depth(l) - 1 times: they differ iff up[a] and up[b] are
-    equal exactly when depth(a) + depth(b) is odd, and l is never needed.
+    Pass or fail costs O(n + m), with no path walk. Let top[v] be the
+    highest vertex that an alternating run of edges reaches going up from
+    v. A path from b up to its ancestor a alternates iff top[b] is no
+    deeper than a. A path a ... l ... b through the endpoints' lowest
+    common ancestor l alternates iff both runs reach l, that is iff the
+    deeper of top[a] and top[b] is an ancestor of both endpoints, and the
+    two edges at l differ. A run flips the sign at every step, so those
+    edges carry phi[a] flipped depth(a) - depth(l) - 1 times and phi[b]
+    flipped depth(b) - depth(l) - 1 times: they differ iff phi[a] and
+    phi[b] are equal exactly when depth(a) + depth(b) is odd, and l is
+    never needed.
     Ancestry is a preorder interval test. Only failing edges have their
     path walked, to name the first pair of equal signs.
     """
-    parent, depth = t.parent, t.depth
+    parent, depth, root = t.parent, t.depth, t.root
     n = len(parent)
-    try:
-        up = [
-            None if p is None else phi[(v, p) if v < p else (p, v)]
-            for v, p in enumerate(parent)
-        ]
-        total = len(phi) == n - 1
-    except KeyError:
-        total = False
-    if not total:
-        labeled = set(phi)
-        missing = sorted(t.tree_edges - labeled)
-        extra = sorted(labeled - t.tree_edges)
-        parts = []
-        if missing:
-            parts.append(f"unlabeled tree edges {missing}")
-        if extra:
-            parts.append(f"labels for non-tree edges {extra}")
-        raise ValueError("labeling does not match the tree edges: " + "; ".join(parts))
+    if len(phi) != n:
+        raise ValueError(f"labeling has {len(phi)} entries for {n} vertices")
+    if phi[root] is not None:
+        raise ValueError(f"labeling has {phi[root]!r} at the root {root}, which has no parent edge")
+    if phi.count("+") + phi.count("-") != n - 1:
+        v = next(v for v, s in enumerate(phi) if v != root and s != "+" and s != "-")
+        raise ValueError(
+            f"labeling has {phi[v]!r} for tree edge ({v}, {parent[v]}), not '+' or '-'"
+        )
     cotree = [e for e in g.edges if parent[e[0]] != e[1] and parent[e[1]] != e[0]]
     if not cotree:
         return VerificationReport(ok=True)
@@ -423,7 +407,6 @@ def verify_alternating(g: Graph, t: RootedTree, phi: SignLabeling) -> Verificati
         if p is not None:
             sibling[v] = first[p]
             first[p] = v
-    root = t.root
     tin = [0] * n
     top = [root] * n
     order = []
@@ -432,10 +415,10 @@ def verify_alternating(g: Graph, t: RootedTree, phi: SignLabeling) -> Verificati
         v = stack.pop()
         tin[v] = len(order)
         order.append(v)
-        sv, tv = up[v], top[v]
+        sv, tv = phi[v], top[v]
         c = first[v]
         while c >= 0:
-            top[c] = tv if up[c] is not sv else v  # at the root, sv is None
+            top[c] = tv if phi[c] != sv else v  # at the root, sv is None
             stack.append(c)
             c = sibling[c]
     end = [1] * n  # subtree size, then one past the subtree's last preorder number
@@ -457,12 +440,13 @@ def verify_alternating(g: Graph, t: RootedTree, phi: SignLabeling) -> Verificati
             x, y = top[a], b
             if depth[x] < depth[top[b]]:
                 x, y = top[b], a
-            if tin[x] <= tin[y] < end[x] and (up[a] is up[b]) == ((depth[a] + depth[b]) % 2 == 1):
+            if tin[x] <= tin[y] < end[x] and (phi[a] == phi[b]) == ((depth[a] + depth[b]) % 2 == 1):
                 continue
         path = fundamental_path(t, e)
-        signs = [phi[canonical_edge(path[j], path[j + 1])] for j in range(len(path) - 1)]
+        # The sign of a path edge sits at its deeper endpoint.
+        signs = [phi[x] if depth[x] > depth[y] else phi[y] for x, y in zip(path, path[1:])]
         for j in range(len(signs) - 1):
-            if signs[j] is signs[j + 1]:
+            if signs[j] == signs[j + 1]:
                 violations.append(Violation(e, path, j, "alternation"))
                 break
     return VerificationReport(ok=not violations, violations=tuple(violations))

@@ -1,6 +1,7 @@
 """Shared strategies: random connected graphs built from a random
 attachment tree plus extra edges, so connectivity holds by construction,
-and random rooted spanning trees of them."""
+and random rooted spanning trees of them. Shared helpers for per-vertex
+sign labelings."""
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
@@ -44,3 +45,15 @@ def rooted_spanning_trees(draw, min_n: int = 2, max_n: int = 9):
             comp = [cv if c == cu else c for c in comp]
             kept.append((u, v))
     return tree_from_edges(graph, kept, root)
+
+
+def child(t, e):
+    """The endpoint of the tree edge ``e`` whose parent is the other: the
+    vertex whose labeling entry holds e's sign."""
+    u, v = e
+    return v if t.parent[v] == u else u
+
+
+def flipped(phi, v):
+    """The labeling ``phi`` with the sign of v's parent edge flipped."""
+    return phi[:v] + ("+" if phi[v] == "-" else "-",) + phi[v + 1 :]

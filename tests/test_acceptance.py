@@ -11,8 +11,8 @@ import time
 
 import pytest
 
+from conftest import child, flipped
 from treesign import (
-    Sign,
     bfs_tree,
     cotree_edges,
     count_spanning_trees,
@@ -116,13 +116,16 @@ def test_criterion_3_enumerator_agrees_with_determinant(report):
         report(3, passed, f"{checked}/200 random G(8, 0.4) instances, counts equal exactly")
 
 
+# Criterion 4's instances: (n, p, connected draws) of G(n, p).
+CRITERION_4_CASES = [(20, 0.2, 250), (20, 0.5, 250), (50, 0.1, 250), (50, 0.3, 250)]
+
+
 def test_criterion_4_strict_ascent_and_move_bound(report):
     passed = False
     solved = 0
     total_moves = 0
     try:
-        cases = [(20, 0.2, 250), (20, 0.5, 250), (50, 0.1, 250), (50, 0.3, 250)]
-        for n, p, count in cases:
+        for n, p, count in CRITERION_4_CASES:
             for g in connected_gnp_draws(n, p, count):
                 s = solve(g)
                 trace = s.trace
@@ -144,6 +147,26 @@ def test_criterion_4_strict_ascent_and_move_bound(report):
         )
 
 
+def test_moves_within_the_proven_bound():
+    """The proven move bound, tighter than criterion 4's: the depth levels
+    0..D of a spanning tree are all non-empty, so its i-th smallest depth
+    is at most i and no tree's potential exceeds C(n, 2); every move gains
+    at least 1, so moves <= C(n, 2) - initial_psi. Checked on criterion
+    4's instances and at every root of every connected graph with n <= 5."""
+    pairs = [
+        (g, 0) for n, p, count in CRITERION_4_CASES for g in connected_gnp_draws(n, p, count)
+    ]
+    pairs += [
+        (g, root) for n in range(1, 6) for g in enumerate_connected_graphs(n) for root in range(n)
+    ]
+    assert len(pairs) == 1000 + 3807
+    for g, root in pairs:
+        trace = solve(g, root).trace
+        bound = g.n * (g.n - 1) // 2
+        assert trace.final_psi <= bound, (g.edges, root)
+        assert len(trace.moves) <= bound - trace.initial_psi, (g.edges, root)
+
+
 def test_criterion_5_path_graphs_need_no_moves_and_alternate(report):
     passed = False
     try:
@@ -151,9 +174,11 @@ def test_criterion_5_path_graphs_need_no_moves_and_alternate(report):
             g = named_graph("path", (n,))
             s = solve(g)
             assert s.trace.moves == ()
-            sequence = [s.signs[(i, i + 1)] for i in range(n - 1)]
-            assert all(a is not b for a, b in zip(sequence, sequence[1:]))
-            assert sequence[0] is Sign.MINUS
+            # With no moves the tree is the path, so i + 1 hangs from i and
+            # carries the sign of the edge (i, i + 1).
+            sequence = [s.signs[i + 1] for i in range(n - 1)]
+            assert all(a != b for a, b in zip(sequence, sequence[1:]))
+            assert sequence[0] == "-"
         passed = True
     finally:
         report(5, passed, "P_2..P_50 solved with 0 moves, signs strictly alternate")
@@ -253,8 +278,7 @@ def test_criterion_9_single_sign_flips_are_caught(report):
                         (min(a, b), max(a, b)) for a, b in zip(path, path[1:])
                     )
             for edge in sorted(eligible):
-                mutated = dict(s.signs)
-                mutated[edge] = mutated[edge].flipped()
+                mutated = flipped(s.signs, child(s.tree, edge))
                 assert not verify_alternating(g, s.tree, mutated).ok, (g.edges, edge)
                 flips += 1
         passed = True

@@ -8,8 +8,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import child, flipped
 from treesign import (
-    Sign,
+    ParseError,
     cli,
     emit_edge_list,
     enumerate_connected_graphs,
@@ -25,6 +26,7 @@ from treesign.cli import (
     build_parser,
     build_solve_report,
     canonical_json,
+    load_solution_document,
     main,
     parse_sizes,
     run_bench,
@@ -45,6 +47,48 @@ K3_REPORT = {
     "tree": {"depth": [0, 2, 1], "edges": [[0, 2], [1, 2]]},
     "verification": {"failures": [], "ok": True},
 }
+
+
+# The oracle's witness for K3 when the solver's labeling fails verification
+# (TestInternalFailure), byte for byte.
+K3_WITNESS = """\
+{
+  "failing": [
+    {
+      "all_local_maxima_conform": true,
+      "global_max_conforms": true,
+      "graph_id": "n=3;m=3;0-1,0-2,1-2",
+      "kirchhoff_count": 3,
+      "max_psi": 3,
+      "max_psi_tree_count": 2,
+      "ok": false,
+      "root": 0,
+      "solve_agrees": false,
+      "tree_count": 3,
+      "witness": {
+        "check": "solve_agrees",
+        "depth": [
+          0,
+          2,
+          1
+        ],
+        "detail": "solver output failed the alternation verifier",
+        "root": 0,
+        "tree_edges": [
+          [
+            0,
+            2
+          ],
+          [
+            1,
+            2
+          ]
+        ]
+      }
+    }
+  ]
+}
+"""
 
 
 def write(tmp_path, name, text):
@@ -136,7 +180,11 @@ def reference_report(solution, timing_ms: int) -> dict:
         "schema_version": 2,
         "input": {"n": tree.graph.n, "m": tree.graph.m, "root": tree.root},
         "tree": {"edges": [list(e) for e in tree.sorted_edges()], "depth": list(tree.depth)},
-        "signs": {f"{u}-{v}": s.value for (u, v), s in solution.signs.items()},
+        "signs": {
+            f"{min(v, p)}-{max(v, p)}": s
+            for v, (p, s) in enumerate(zip(tree.parent, solution.signs))
+            if p is not None
+        },
         "trace": {
             "initial_psi": trace.initial_psi,
             "final_psi": trace.final_psi,
@@ -379,6 +427,30 @@ class TestCanonicalJson:
     def test_bytes_equal_json_dumps(self, doc):
         assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
+    def test_verify_output_is_pinned(self, tmp_path, capsys):
+        graph = write(tmp_path, "k3.edges", K3_TEXT)
+        report = write(tmp_path, "report.json", json.dumps(K3_REPORT))
+        assert main(["verify", graph, report]) == 0
+        assert capsys.readouterr() == ('{\n  "failures": [],\n  "ok": true\n}\n', "")
+        doc = json.loads(json.dumps(K3_REPORT))
+        doc["signs"]["1-2"] = "-"
+        broken = write(tmp_path, "broken.json", json.dumps(doc))
+        assert main(["verify", graph, broken]) == 1
+        assert capsys.readouterr() == (
+            "{\n"
+            '  "failures": [\n'
+            "    {\n"
+            '      "cotree_edge": [\n        0,\n        1\n      ],\n'
+            '      "failed": "alternation",\n'
+            '      "index": 0,\n'
+            '      "path": [\n        0,\n        2,\n        1\n      ]\n'
+            "    }\n"
+            "  ],\n"
+            '  "ok": false\n'
+            "}\n",
+            "cotree edge 0-1: equal signs at path index 0 (path 0-2-1)\n",
+        )
+
     def test_solve_reports(self, tmp_path, capsys):
         for g in (gnp_graph(30, 0.3, 1), named_graph("grid", (3, 4)), named_graph("complete", (7,))):
             graph = write(tmp_path, "g.edges", emit_edge_list(g))
@@ -425,7 +497,9 @@ class TestSolveReport:
         assert any(max(m["add"] + m["remove"]) >= 10 for m in moves)
 
     def test_failed_verification(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(solver, "assign_signs", lambda t: {e: Sign.PLUS for e in t.tree_edges})
+        monkeypatch.setattr(
+            solver, "assign_signs", lambda t: tuple(None if p is None else "+" for p in t.parent)
+        )
         k4 = named_graph("complete", (4,))
         solution = solve(k4)
         assert not solution.verification.ok
@@ -448,6 +522,10 @@ class TestVerify:
         graph, report = self.solve_to_file(tmp_path, capsys)
         assert main(["verify", graph, report]) == 0
         assert json.loads(capsys.readouterr().out) == {"failures": [], "ok": True}
+
+    def test_loads_one_sign_per_vertex(self):
+        tree, signs, root = load_solution_document(named_graph("complete", (3,)), K3_REPORT)
+        assert (tree.parent, signs, root) == ((None, 2, 0), (None, "+", "-"), 0)
 
     def test_flipped_sign_fails(self, tmp_path, capsys):
         graph, report = self.solve_to_file(tmp_path, capsys)
@@ -552,6 +630,34 @@ class TestVerify:
         solution = write(tmp_path, "doc.json", json.dumps({"tree": {"edges": []}, "signs": {}}))
         assert main(["verify", graph, solution]) == 2
         assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "signs, err",
+        [
+            ({"0-1": "+"}, "labeling does not match the tree edges: unlabeled tree edges [(0, 2)]"),
+            (
+                {"0-1": "+", "0-2": "-", "1-2": "+"},
+                "labeling does not match the tree edges: labels for non-tree edges [(1, 2)]",
+            ),
+            ({"0-1": "+", "2-0": "-"}, "edge key '2-0' is not in canonical u<v order"),
+            (
+                {"0-1": "+", "1-2": "-"},
+                "labeling does not match the tree edges: unlabeled tree edges [(0, 2)]; "
+                "labels for non-tree edges [(1, 2)]",
+            ),
+        ],
+        ids=["missing", "extra", "reversed-key", "missing-and-extra"],
+    )
+    def test_rejects_partial_labelings(self, tmp_path, capsys, signs, err):
+        # The tree is K3's breadth-first tree at 0, edges (0, 1) and (0, 2).
+        graph = write(tmp_path, "k3.edges", K3_TEXT)
+        doc = {"input": {"root": 0}, "tree": {"edges": [[0, 1], [0, 2]]}, "signs": signs}
+        with pytest.raises(ParseError) as refused:
+            load_solution_document(named_graph("complete", (3,)), doc)
+        assert str(refused.value) == err
+        solution = write(tmp_path, "doc.json", json.dumps(doc))
+        assert main(["verify", graph, solution]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_label_on_a_non_tree_edge(self, tmp_path, capsys):
         graph = write(tmp_path, "k3.edges", K3_TEXT)
@@ -711,20 +817,18 @@ class TestBenchHelpers:
 
 
 class TestInternalFailure:
-    """A labeling that fails verification, made by flipping the first sign
-    assign_signs returns: every caller of solve() must report it."""
+    """A labeling that fails verification, made by flipping the sign
+    assign_signs gives the lexicographically first tree edge: every caller
+    of solve() must report it."""
 
     @pytest.fixture(autouse=True)
     def flip_one_sign(self, monkeypatch):
         assign_signs = solver.assign_signs
 
-        def flipped(t):
-            signs = assign_signs(t)
-            first = min(signs)
-            signs[first] = signs[first].flipped()
-            return signs
+        def flip_first(t):
+            return flipped(assign_signs(t), child(t, t.sorted_edges()[0]))
 
-        monkeypatch.setattr(solver, "assign_signs", flipped)
+        monkeypatch.setattr(solver, "assign_signs", flip_first)
 
     def test_exhaustive_check_names_the_solver(self):
         report = exhaustive_check(named_graph("complete", (3,)), 0)
@@ -739,6 +843,7 @@ class TestInternalFailure:
         witness_text = (tmp_path / "reports.jsonl.witness.json").read_text()
         assert json.loads(witness_text)["failing"][0]["witness"]["check"] == "solve_agrees"
         assert_canonical(witness_text)
+        assert witness_text == K3_WITNESS
 
     def test_solve_writes_the_report_and_exits_4(self, tmp_path, capsys):
         k3 = write(tmp_path, "k3.edges", K3_TEXT)

@@ -465,10 +465,29 @@ class TestDot:
         assert "0 -- 1 [style=solid];" in out and "0 -- 2 [style=solid];" in out
         assert "1 -- 2 [style=dashed];" in out and 'label="-"' not in out
 
+    def test_labels_sit_at_each_edges_child(self):
+        g = named_graph("path", (4,))
+        t = bfs_tree(g, 2)
+        assert to_dot(g, t, ("+", "-", None, "+")) == (
+            "graph {\n"
+            '  0 [label="0 (d=2)"];\n'
+            '  1 [label="1 (d=1)"];\n'
+            '  2 [label="2 (d=0)"];\n'
+            '  3 [label="3 (d=1)"];\n'
+            '  0 -- 1 [style=solid, label="+"];\n'
+            '  1 -- 2 [style=solid, label="-"];\n'
+            '  2 -- 3 [style=solid, label="+"];\n'
+            "}\n"
+        )
+        # an entry of None leaves its edge unlabelled
+        assert "  1 -- 2 [style=solid];\n" in to_dot(g, t, ("+", None, None, "+"))
+
     def test_rejects_inconsistent_labeling(self):
         g = named_graph("complete", (3,))
         t = bfs_tree(g, 0)
-        with pytest.raises(ValueError, match="not in the tree"):
-            to_dot(g, t, {(1, 2): next(iter(assign_signs(t).values()))})
+        for phi in [(None, "-"), (None, "-", "-", "+"), ()]:
+            with pytest.raises(ValueError) as refused:
+                to_dot(g, t, phi)
+            assert str(refused.value) == f"labeling has {len(phi)} entries for 3 vertices"
         with pytest.raises(ValueError, match="without a tree"):
-            to_dot(g, None, {})
+            to_dot(g, None, assign_signs(t))

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import rooted_connected_graphs
+from conftest import child, flipped, rooted_connected_graphs
 from treesign import (
     DisconnectedGraphError,
     NoImprovingSwapError,
-    Sign,
     SwapMove,
     assign_signs,
     bfs_tree,
@@ -56,13 +55,14 @@ def assert_matches_restart_reference(g, root):
 
 def walking_verifier(t, phi):
     """Reference alternation check: walk every cotree edge's whole
-    fundamental path and report its first pair of equal signs."""
+    fundamental path and report its first pair of equal signs. A path
+    edge's sign is its child's entry."""
     violations = []
     for e in cotree_edges(t):
         path = fundamental_path(t, e)
-        signs = [phi[canonical_edge(path[j], path[j + 1])] for j in range(len(path) - 1)]
+        signs = [phi[child(t, pair)] for pair in zip(path, path[1:])]
         for j in range(len(signs) - 1):
-            if signs[j] is signs[j + 1]:
+            if signs[j] == signs[j + 1]:
                 violations.append(Violation(e, path, j, "alternation"))
                 break
     return VerificationReport(ok=not violations, violations=tuple(violations))
@@ -74,11 +74,11 @@ def assert_matches_walking_verifier(g, t, phi):
     return report
 
 
-class TestSign:
-    def test_flip_is_an_involution(self):
-        assert Sign.PLUS.flipped() is Sign.MINUS
-        assert Sign.MINUS.flipped() is Sign.PLUS
-        assert str(Sign.PLUS) == "+" and str(Sign.MINUS) == "-"
+def labeling(t, signs):
+    """The per-vertex labeling that gives the non-root vertices, in index
+    order, the parent-edge signs ``signs``."""
+    signs = iter(signs)
+    return tuple(None if p is None else next(signs) for p in t.parent)
 
 
 def _candidate_deltas(t, e):
@@ -287,32 +287,22 @@ class TestMonotoneSpanningTree:
 class TestAssignSigns:
     def test_parity_rule(self):
         star = bfs_tree(K4, 0)
-        assert assign_signs(star) == {
-            (0, 1): Sign.MINUS,
-            (0, 2): Sign.MINUS,
-            (0, 3): Sign.MINUS,
-        }
+        assert assign_signs(star) == (None, "-", "-", "-")
 
     def test_path_alternates_from_the_root(self):
         t = bfs_tree(P4, 0)
-        assert assign_signs(t) == {
-            (0, 1): Sign.MINUS,
-            (1, 2): Sign.PLUS,
-            (2, 3): Sign.MINUS,
-        }
+        assert assign_signs(t) == (None, "-", "+", "-")
+        assert assign_signs(bfs_tree(P4, 2)) == ("+", "-", None, "-")
 
     @given(rooted_connected_graphs())
     def test_signs_alternate_down_every_branch(self, case):
         g, root = case
         t = bfs_tree(g, root)
         signs = assign_signs(t)
+        assert [s is None for s in signs] == [p is None for p in t.parent]
         for v, p in enumerate(t.parent):
-            gp = t.parent[p] if p is not None else None
-            if p is None or gp is None:
-                continue
-            lower = (min(v, p), max(v, p))
-            upper = (min(p, gp), max(p, gp))
-            assert signs[lower] is signs[upper].flipped()
+            if p is not None and t.parent[p] is not None:
+                assert {signs[v], signs[p]} == {"+", "-"}
 
 
 class TestVerifyAlternating:
@@ -322,8 +312,7 @@ class TestVerifyAlternating:
 
     def test_reports_the_first_clash(self):
         s = solve(K3)
-        broken = dict(s.signs)
-        broken[(0, 2)] = broken[(0, 2)].flipped()
+        broken = flipped(s.signs, child(s.tree, (0, 2)))
         report = verify_alternating(K3, s.tree, broken)
         assert not report.ok
         (v,) = report.violations
@@ -334,26 +323,87 @@ class TestVerifyAlternating:
 
     def test_no_cotree_edges_is_vacuously_ok(self):
         t = bfs_tree(P4, 0)
-        labels = {e: Sign.PLUS for e in t.tree_edges}
-        assert verify_alternating(P4, t, labels).ok
+        assert verify_alternating(P4, t, (None, "+", "+", "+")).ok
+
+    @pytest.mark.parametrize(
+        "phi, message",
+        [
+            ((None, "+"), "labeling has 2 entries for 3 vertices"),
+            ((None, "+", "-", "+"), "labeling has 4 entries for 3 vertices"),
+            ((), "labeling has 0 entries for 3 vertices"),
+            (("+", "+", "-"), "labeling has '+' at the root 0, which has no parent edge"),
+            ((None, None, "-"), "labeling has None for tree edge (1, 0), not '+' or '-'"),
+            ((None, "+", "x"), "labeling has 'x' for tree edge (2, 0), not '+' or '-'"),
+            ((None, 1, "-"), "labeling has 1 for tree edge (1, 0), not '+' or '-'"),
+            ((None, "-", True), "labeling has True for tree edge (2, 0), not '+' or '-'"),
+            ((None, "+ ", "-"), "labeling has '+ ' for tree edge (1, 0), not '+' or '-'"),
+        ],
+        ids=["short", "long", "empty", "root-signed", "none", "text", "int", "bool", "padded"],
+    )
+    def test_refuses_malformed_labelings(self, phi, message):
+        t = bfs_tree(K3, 0)
+        with pytest.raises(ValueError) as refused:
+            verify_alternating(K3, t, phi)
+        assert str(refused.value) == message
 
     def test_rejects_partial_labelings(self):
-        t = bfs_tree(K3, 0)
-        with pytest.raises(ValueError, match=r"unlabeled tree edges \[\(0, 2\)\]"):
-            verify_alternating(K3, t, {(0, 1): Sign.PLUS})
-        full = {(0, 1): Sign.PLUS, (0, 2): Sign.MINUS, (1, 2): Sign.PLUS}
-        with pytest.raises(ValueError, match="non-tree edges"):
-            verify_alternating(K3, t, full)
-        with pytest.raises(
-            ValueError,
-            match=r"unlabeled tree edges \[\(0, 2\)\]; labels for non-tree edges \[\(2, 0\)\]$",
-        ):
-            verify_alternating(K3, t, {(0, 1): Sign.PLUS, (2, 0): Sign.MINUS})
-        with pytest.raises(
-            ValueError,
-            match=r"unlabeled tree edges \[\(0, 2\)\]; labels for non-tree edges \[\(1, 2\)\]$",
-        ):
-            verify_alternating(K3, t, {(0, 1): Sign.PLUS, (1, 2): Sign.MINUS})
+        # Leaving out any nonempty set of tree-edge signs, or cutting the
+        # tuple short, is refused; the message names the first unlabeled edge.
+        g = named_graph("grid", (2, 3))
+        t = bfs_tree(g, 0)
+        full = assign_signs(t)
+        for blank in itertools.product([False, True], repeat=g.n - 1):
+            if not any(blank):
+                continue
+            phi = (None,) + tuple(None if b else s for b, s in zip(blank, full[1:]))
+            v = blank.index(True) + 1
+            with pytest.raises(ValueError) as refused:
+                verify_alternating(g, t, phi)
+            assert str(refused.value) == (
+                f"labeling has None for tree edge ({v}, {t.parent[v]}), not '+' or '-'"
+            )
+        for k in range(g.n):
+            with pytest.raises(ValueError) as refused:
+                verify_alternating(g, t, full[:k])
+            assert str(refused.value) == f"labeling has {k} entries for {g.n} vertices"
+
+    @given(rooted_connected_graphs(max_n=6), st.data())
+    def test_any_labeling_is_judged_or_refused_by_value_error(self, case, data):
+        # A well-formed labeling gets a verdict; any other raises a
+        # ValueError, never an IndexError, and gets none.
+        g, root = case
+        t = bfs_tree(g, root)
+        entries = st.sampled_from([None, "+", "-", "x", 0, True, ""])
+        valid = st.lists(st.sampled_from("+-"), min_size=g.n - 1, max_size=g.n - 1).map(
+            lambda signs: labeling(t, signs)
+        )
+        one_replaced = st.tuples(valid, st.integers(0, g.n - 1), entries).map(
+            lambda x: x[0][: x[1]] + (x[2],) + x[0][x[1] + 1 :]
+        )
+        phi = data.draw(valid | one_replaced | st.lists(entries, max_size=g.n + 2).map(tuple))
+        well_formed = len(phi) == g.n and all(
+            (s is None) if p is None else s in ("+", "-") for s, p in zip(phi, t.parent)
+        )
+        if well_formed:
+            assert verify_alternating(g, t, phi) == walking_verifier(t, phi)
+        else:
+            with pytest.raises(ValueError, match="^labeling has "):
+                verify_alternating(g, t, phi)
+
+    def test_signs_compare_by_value(self):
+        # Equal strings need not be one object; a str subclass makes copies
+        # that CPython's one-character string cache cannot share.
+        class Copy(str):
+            pass
+
+        for g in (K3, K4, named_graph("cycle", (5,)), named_graph("grid", (3, 3))):
+            t = bfs_tree(g, 0)
+            phi = assign_signs(t)
+            copies = tuple(None if x is None else Copy(x) for x in phi)
+            assert copies == phi and copies[1] is not phi[1]
+            for v in range(1, g.n):
+                mixed = flipped(copies, v)
+                assert verify_alternating(g, t, mixed) == walking_verifier(t, mixed), (g.edges, v)
 
     def test_matches_walking_verifier_exhaustively(self):
         # Every connected graph with n <= 4, spanning tree, root and labeling.
@@ -362,9 +412,8 @@ class TestVerifyAlternating:
             for g in enumerate_connected_graphs(n):
                 for root in range(n):
                     for t in enumerate_spanning_trees(g, root):
-                        edges = t.sorted_edges()
-                        for signs in itertools.product(list(Sign), repeat=len(edges)):
-                            report = assert_matches_walking_verifier(g, t, dict(zip(edges, signs)))
+                        for signs in itertools.product("+-", repeat=n - 1):
+                            report = assert_matches_walking_verifier(g, t, labeling(t, signs))
                             cases += 1
                             failing += not report.ok
         assert (cases, failing) == (4173, 2450)
@@ -391,13 +440,12 @@ class TestVerifyAlternating:
         kind = data.draw(st.sampled_from(["random", "parity", "parity with one flip"]))
         if kind == "random":
             m = len(edges)
-            signs = data.draw(st.lists(st.sampled_from(Sign), min_size=m, max_size=m))
-            phi = dict(zip(t.sorted_edges(), signs))
+            phi = labeling(t, data.draw(st.lists(st.sampled_from("+-"), min_size=m, max_size=m)))
         else:
             phi = assign_signs(t)
-            if kind == "parity with one flip" and phi:
+            if kind == "parity with one flip" and edges:
                 e = data.draw(st.sampled_from(t.sorted_edges()))
-                phi[e] = phi[e].flipped()
+                phi = flipped(phi, child(t, e))
         assert_matches_walking_verifier(g, t, phi)
 
     def test_passing_edges_walk_no_path(self, monkeypatch):
@@ -431,14 +479,13 @@ class TestVerifyAlternating:
             phi = assign_signs(t)
             assert verify_alternating(h, t, phi).ok
             assert calls == []
-            e = t.sorted_edges()[len(phi) * 5 // 6]
-            phi[e] = phi[e].flipped()
+            e = t.sorted_edges()[(h.n - 1) * 5 // 6]
+            phi = flipped(phi, child(t, e))
             report = verify_alternating(h, t, phi)
             assert len(calls) == len(report.violations)
             calls.clear()
 
-        phi = assign_signs(deep)
-        phi[(2500, 2501)] = phi[(2500, 2501)].flipped()
+        phi = flipped(assign_signs(deep), 2501)  # the edge (2500, 2501)
         report = verify_alternating(g, deep, phi)
         assert [v.cotree_edge for v in report.violations] == [(0, k) for k in range(2502, n, 100)]
         assert {v.index for v in report.violations} == {2499}
@@ -463,14 +510,14 @@ class TestSolve:
     def test_triangle_end_to_end(self):
         s = solve(K3)
         assert s.tree.tree_edges == {(0, 2), (1, 2)}
-        assert s.signs == {(0, 2): Sign.MINUS, (1, 2): Sign.PLUS}
+        assert s.signs == (None, "+", "-")  # (1, 2) is +, (0, 2) is -
         assert s.trace.final_psi == 3
 
     def test_single_vertex(self):
         g, _ = make_graph(1, [])
         s = solve(g)
         assert s.tree.tree_edges == set()
-        assert s.signs == {}
+        assert s.signs == (None,)
         assert s.trace == s.trace.__class__(0, (), 0)
 
     def test_disconnected_is_refused(self):
@@ -497,4 +544,4 @@ class TestSolve:
         s = solve(g, root)
         assert verify_alternating(g, s.tree, s.signs).ok
         assert verify_monotone(g, s.tree).ok
-        assert set(s.signs) == s.tree.tree_edges
+        assert [x is None for x in s.signs] == [p is None for p in s.tree.parent]
