@@ -22,10 +22,6 @@ if TYPE_CHECKING:
 Vertex = int
 Edge = tuple[int, int]
 
-# G(n, p) draws use random.Random, i.e. MT19937 with explicit seeding;
-# the float sequence is identical across platforms and CPython versions.
-GNP_GENERATOR = "mt19937"
-
 FAMILIES = (
     "path",
     "cycle",
@@ -402,8 +398,9 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with a reproducible draw.
 
     Pairs are visited in lexicographic order and included when the next
-    float from random.Random(seed) falls below p, so identical
-    (n, p, seed) give identical graphs on every platform.
+    float from random.Random(seed) falls below p. random.Random is
+    MT19937, whose seeded float sequence is the same on every platform
+    and CPython version, so identical (n, p, seed) give identical graphs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

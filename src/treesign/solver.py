@@ -7,13 +7,13 @@ one sign per vertex: "+" or "-" for the edge to its parent, None at the
 root (SignLabeling), since each tree edge has exactly one child endpoint.
 The best exchange on a non-monotone path always removes one of the two
 path edges at its valley, so the ascent prices only those two, in closed
-form; the restart reference re-roots every candidate and takes its own
-argmax. Along a strictly monotone path the deeper-endpoint depths of
-consecutive edges differ by exactly 1, so the parity labels alternate.
-The verifier checks that property on any rooted tree and labeling,
-independent of how they were produced, in O(n + m): alternating runs of
-edges and preorder intervals decide every cotree edge without walking
-its path.
+form; the restart reference in tests/reference.py re-roots every
+candidate and takes its own argmax. Along a strictly monotone path the
+deeper-endpoint depths of consecutive edges differ by exactly 1, so the
+parity labels alternate. The verifier checks that property on any rooted
+tree and labeling, independent of how they were produced, in O(n + m):
+alternating runs of edges and preorder intervals decide every cotree
+edge without walking its path.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ from .trees import (
     RootedTree,
     SwapMove,
     ancestor_related,
-    apply_swap,
     bfs_tree,
-    cotree_edges,
-    delta_potential,
     fundamental_path,
     potential,
     tree_path,
@@ -130,32 +127,6 @@ def _candidates(path: Sequence[Vertex], deltas: list[int]) -> list[tuple[Edge, i
     return [(canonical_edge(path[j], path[j + 1]), d) for j, d in enumerate(deltas)]
 
 
-def find_improving_swap(t: RootedTree, e: Edge) -> SwapMove:
-    """Best strictly improving exchange that inserts the cotree edge ``e``.
-
-    Every edge of e's fundamental path is evaluated as the removal
-    candidate; the one with maximum potential gain wins, ties going to the
-    smallest path index. The path must be non-monotone; a non-monotone
-    path always admits a gain of at least 1, so exhausting the candidates
-    without one raises NoImprovingSwapError. This is the restart
-    reference's own selection, and the ascent shares none of it: each
-    candidate's exchanged tree is rooted afresh (delta_potential), which
-    costs O(path * n), where the ascent prices only the two valley edges
-    in closed form (_valley_gains), in O(path).
-    """
-    e = canonical_edge(*e)
-    path = fundamental_path(t, e)
-    if ancestor_related(t.parent, t.depth, *e):
-        raise ValueError(f"fundamental path of {e} is monotone; nothing to improve")
-    deltas = [
-        delta_potential(t, e, canonical_edge(path[j], path[j + 1])) for j in range(len(path) - 1)
-    ]
-    j = max(range(len(deltas)), key=deltas.__getitem__)
-    if deltas[j] < 1:
-        raise NoImprovingSwapError(falsification_instance(t, e, path, _candidates(path, deltas)))
-    return SwapMove(added=e, removed=canonical_edge(path[j], path[j + 1]), delta_psi=deltas[j])
-
-
 @dataclass(frozen=True)
 class SolveTrace:
     """Record of one local-search run.
@@ -174,12 +145,14 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
 
     Starts from the breadth-first tree and repeatedly fixes the
     lexicographically first cotree edge whose fundamental path is not
-    monotone, with the exchange find_improving_swap would choose: that is
-    the better of the two valley exchanges, the left one on a tie
-    (_valley_gains), and a best gain below 1 raises NoImprovingSwapError.
-    The potential strictly increases with every move and is at most (n-1)^2,
-    so the loop terminates. The move sequence is that of rescanning all
-    cotree edges after every exchange (_monotone_spanning_tree_restart).
+    monotone, with the exchange of maximum gain over the whole path, ties
+    going to the smallest path index: that is the better of the two valley
+    exchanges, the left one on a tie (_valley_gains), and a best gain
+    below 1 raises NoImprovingSwapError. The potential strictly increases
+    with every move and is at most C(n, 2), since a tree's i-th smallest
+    depth is at most i, so the loop terminates. The move sequence is that
+    of rescanning all cotree edges after every exchange (the restart
+    reference in tests/reference.py).
 
     State. One tree, updated in place by each move: parent, depth and
     subtree-size lists and per-vertex child lists; an edge is a tree edge
@@ -308,28 +281,6 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     return t, SolveTrace(initial_psi, tuple(moves), potential(t))
 
 
-def _monotone_spanning_tree_restart(g: Graph, root: Vertex = 0) -> tuple[RootedTree, SolveTrace]:
-    """Reference implementation of monotone_spanning_tree that literally
-    rescans from the first cotree edge after every exchange, on immutable
-    trees. Kept as the test reference for the in-place ascent and its
-    re-queue scan; quadratically slower."""
-    t = bfs_tree(g, root)
-    initial_psi = potential(t)
-    moves: list[SwapMove] = []
-    while True:
-        violating = None
-        for e in cotree_edges(t):
-            if not ancestor_related(t.parent, t.depth, *e):
-                violating = e
-                break
-        if violating is None:
-            break
-        move = find_improving_swap(t, violating)
-        t = apply_swap(t, move)
-        moves.append(move)
-    return t, SolveTrace(initial_psi, tuple(moves), potential(t))
-
-
 def assign_signs(t: RootedTree) -> SignLabeling:
     """Label every tree edge by the parity of its deeper endpoint's depth:
     plus when even, minus when odd. Well-defined on any rooted tree. The
@@ -344,8 +295,9 @@ class Violation:
     """One failed check along a cotree edge's fundamental path.
 
     ``index`` is the offending position: for alternation, the first j
-    whose path edges j and j+1 carry equal signs; for monotonicity, the
-    valley index (the endpoints' lowest common ancestor, see valley_index).
+    whose path edges j and j+1 carry equal signs; for monotonicity (a
+    check only tests/reference.py makes), the valley index (the
+    endpoints' lowest common ancestor, see valley_index).
     """
 
     cotree_edge: Edge
@@ -449,18 +401,6 @@ def verify_alternating(g: Graph, t: RootedTree, phi: SignLabeling) -> Verificati
             if signs[j] == signs[j + 1]:
                 violations.append(Violation(e, path, j, "alternation"))
                 break
-    return VerificationReport(ok=not violations, violations=tuple(violations))
-
-
-def verify_monotone(g: Graph, t: RootedTree) -> VerificationReport:
-    """Check that every cotree edge's fundamental path is strictly
-    monotone in depth; reports the valley index of each failing edge."""
-    violations: list[Violation] = []
-    for e in cotree_edges(t):
-        path = fundamental_path(t, e)
-        k = valley_index(t.depth, path)
-        if 0 < k < len(path) - 1:
-            violations.append(Violation(e, path, k, "monotonicity"))
     return VerificationReport(ok=not violations, violations=tuple(violations))
 
 

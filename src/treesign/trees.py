@@ -5,21 +5,21 @@ array-backed parent and depth maps. The depth of a vertex is the length
 of its unique tree path from the root; the potential of a tree is the sum
 of all depths. Exchanging a cotree edge for an edge on its fundamental
 path yields another spanning tree. bfs_tree searches the graph and
-root_edges an edge set, both with graphs.breadth_first. apply_swap and
-delta_potential root the exchanged edge set afresh through root_edges,
-as tree_from_edges does, so they price a move by definition; the
-solver's ascent prices its moves in closed form instead and is tested
-against them. tree_from_edges roots an untrusted edge set
-first and accepts it from the parent map: n - 1 in-range pairs that reach
-every vertex are a tree, and it is a tree of the graph iff n - 1 graph
-edges join a vertex to its parent. Only a rejected set is checked as a
-set, to name its fault.
+root_edges an edge set, both with graphs.breadth_first. delta_potential
+roots the exchanged edge set afresh through root_edges, as
+tree_from_edges does, so it prices a move by definition; the solver's
+ascent prices its moves in closed form instead and is tested against it
+and against the restart reference in tests/reference.py, which re-roots
+the same way. tree_from_edges roots an untrusted edge set first and
+accepts it from the parent map: n - 1 in-range pairs that reach every
+vertex are a tree, and it is a tree of the graph iff n - 1 graph edges
+join a vertex to its parent. Only a rejected set is checked as a set, to
+name its fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .graphs import Edge, Graph, Vertex, breadth_first, canonical_edge, connected_components
@@ -65,21 +65,11 @@ class RootedTree:
     parent: tuple[Vertex | None, ...]
     depth: tuple[int, ...]
 
-    @cached_property
-    def tree_edges(self) -> frozenset[Edge]:
-        return frozenset(
-            canonical_edge(v, p) for v, p in enumerate(self.parent) if p is not None
-        )
-
-    @cached_property
-    def _sorted_edges(self) -> tuple[Edge, ...]:
+    def sorted_edges(self) -> tuple[Edge, ...]:
+        """Tree edges in lexicographic order, sorted on each call."""
         return tuple(
             sorted([(v, p) if v < p else (p, v) for v, p in enumerate(self.parent) if p is not None])
         )
-
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        """Tree edges in lexicographic order, sorted once per tree."""
-        return self._sorted_edges
 
 
 def bfs_tree(g: Graph, root: Vertex) -> RootedTree:
@@ -177,8 +167,8 @@ def ancestor_related(
     path is monotone: depths along a tree path step by exactly 1, falling
     toward the endpoints' lowest common ancestor and rising after it, so
     the path is monotone exactly when that ancestor is an endpoint. The
-    ascent's pop test, the oracle's table pass and the solver's restart
-    reference share this walk."""
+    ascent's pop test, the oracle's table pass and the restart reference
+    in tests/reference.py share this walk."""
     if depth[a] > depth[b]:
         a, b = b, a
     for _ in range(depth[b] - depth[a]):
@@ -276,7 +266,3 @@ def delta_potential(t: RootedTree, add: Edge, remove: Edge) -> int:
     mutating the tree."""
     return potential(_swapped(t, add, remove)) - potential(t)
 
-
-def apply_swap(t: RootedTree, move: SwapMove) -> RootedTree:
-    """Spanning tree after the exchange."""
-    return _swapped(t, move.added, move.removed)

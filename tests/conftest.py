@@ -1,7 +1,7 @@
 """Shared strategies: random connected graphs built from a random
 attachment tree plus extra edges, so connectivity holds by construction,
 and random rooted spanning trees of them. Shared helpers for per-vertex
-sign labelings."""
+sign labelings and for a tree's edge set."""
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
@@ -57,3 +57,9 @@ def child(t, e):
 def flipped(phi, v):
     """The labeling ``phi`` with the sign of v's parent edge flipped."""
     return phi[:v] + ("+" if phi[v] == "-" else "-",) + phi[v + 1 :]
+
+
+def tree_edges(t):
+    """The tree's edges as a set of canonical pairs; a frozenset, so that
+    edge sets can be hashed and collected in sets."""
+    return frozenset(t.sorted_edges())

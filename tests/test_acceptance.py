@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import child, flipped
+from conftest import child, flipped, tree_edges
 from treesign import (
     bfs_tree,
     cotree_edges,
@@ -206,7 +206,7 @@ def test_criterion_6_swap_delta_equals_full_recomputation(report):
             rng.shuffle(options)
             for e, removed in options[:25]:
                 delta = delta_potential(t, e, removed)
-                rebuilt = tree_from_edges(g, (t.tree_edges - {removed}) | {e}, t.root)
+                rebuilt = tree_from_edges(g, (tree_edges(t) - {removed}) | {e}, t.root)
                 assert delta == potential(rebuilt) - potential(t), (g.edges, e, removed)
                 samples += 1
                 if samples == 10_000:

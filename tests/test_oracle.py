@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import connected_graphs
+from conftest import connected_graphs, tree_edges
 from treesign import (
     DisconnectedGraphError,
     EnumerationLimitError,
@@ -72,16 +72,16 @@ class TestEnumeration:
     def test_trees_are_spanning_and_distinct(self):
         trees = list(enumerate_spanning_trees(K4, 0))
         assert len(trees) == 16
-        assert len({frozenset(t.tree_edges) for t in trees}) == 16
+        assert len({tree_edges(t) for t in trees}) == 16
         for t in trees:
-            assert len(t.tree_edges) == 3
+            assert len(tree_edges(t)) == 3
             assert t.root == 0 and t.depth[0] == 0
             assert all(d is not None for d in t.depth)
 
     def test_single_vertex(self):
         g, _ = make_graph(1, [])
         (t,) = enumerate_spanning_trees(g, 0)
-        assert t.tree_edges == set()
+        assert tree_edges(t) == set()
 
     def test_tree_cap(self):
         with pytest.raises(EnumerationLimitError, match="more than 5"):
@@ -90,7 +90,7 @@ class TestEnumeration:
     def test_more_edges_than_the_recursion_limit(self):
         g = named_graph("path", (3000,))
         (t,) = enumerate_spanning_trees(g, 0)
-        assert t.tree_edges == g.edge_set
+        assert tree_edges(t) == g.edge_set
 
     def test_bad_root(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -131,7 +131,7 @@ class TestEnumeration:
                         continue
                     reference.add(frozenset(edges))
                 for root in range(n):
-                    trees = [t.tree_edges for t in enumerate_spanning_trees(g, root)]
+                    trees = [tree_edges(t) for t in enumerate_spanning_trees(g, root)]
                     assert len(trees) == len(set(trees)), (g.edges, root)
                     assert set(trees) == reference, (g.edges, root)
                     pairs += 1
@@ -177,7 +177,7 @@ class TestEnumeration:
         started = time.perf_counter()
         for root in range(g.n):
             trees = list(enumerate_spanning_trees(g, root))
-            assert [t.tree_edges for t in trees] == [frozenset(g.edges)], root
+            assert [tree_edges(t) for t in trees] == [frozenset(g.edges)], root
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"took {elapsed:.2f}s for {g.n} roots"
 
@@ -235,7 +235,7 @@ class TestCounting:
     def test_enumeration_agrees_with_determinant(self, g):
         trees = list(enumerate_spanning_trees(g, 0))
         assert len(trees) == count_spanning_trees(g)
-        assert len({frozenset(t.tree_edges) for t in trees}) == len(trees)
+        assert len({tree_edges(t) for t in trees}) == len(trees)
 
 
 class TestIntegerDeterminant:
@@ -267,7 +267,7 @@ class TestMaxPotentialTree:
     def test_path_has_one_tree(self):
         t, psi, count = max_potential_tree(P4, 0)
         assert psi == 6 and count == 1
-        assert t.tree_edges == P4.edge_set
+        assert tree_edges(t) == P4.edge_set
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=25)
@@ -350,7 +350,8 @@ def table_verdicts(g, root):
     exchange strictly raise its potential?"""
     table, _, _ = _potential_table(g, root, oracle.DEFAULT_TREE_CAP)
     for t in enumerate_spanning_trees(g, root):
-        mask = sum(bit for e, bit in _edge_bits(g) if e in t.tree_edges)
+        edges = tree_edges(t)
+        mask = sum(bit for e, bit in _edge_bits(g) if e in edges)
         yield t, _improvable(table, mask, g.m)
 
 
@@ -379,8 +380,8 @@ class TestAdmitsImprovingSwap:
         expected = [admits_improving_swap_reference(t) for t in enumerate_spanning_trees(g, 0)]
         assert expected.count(True) == 10
         assert [verdict for _, verdict in table_verdicts(g, 0)] == expected
-        # delta_potential (and apply_swap) re-root through trees._swapped,
-        # however they were imported.
+        # delta_potential re-roots through trees._swapped, however it was
+        # imported.
         calls = []
         swapped = trees._swapped
 
@@ -409,7 +410,8 @@ class TestNonMonotoneList:
                     for t in enumerate_spanning_trees(g, root):
                         paths = [trees.tree_path(t.parent, t.depth, u, v) for u, v in cotree_edges(t)]
                         if any(0 < trees.valley_index(t.depth, p) < len(p) - 1 for p in paths):
-                            expected.append(sum(bit for e, bit in edge_bits if e in t.tree_edges))
+                            edges = tree_edges(t)
+                            expected.append(sum(bit for e, bit in edge_bits if e in edges))
                         trees_seen += 1
                     _, _, listed = _potential_table(g, root, oracle.DEFAULT_TREE_CAP)
                     assert listed == expected, (g.edges, root)

