@@ -55,13 +55,12 @@ from .graphs import (
     named_graph,
     parse_dimacs,
     parse_edge_list,
-    to_dot,
 )
 from .oracle import (
     DEFAULT_TREE_CAP, EnumerationLimitError, enumerate_connected_graphs, exhaustive_check
 )
 from .solver import NoImprovingSwapError, SignLabeling, Solution, solve, verify_alternating
-from .trees import DisconnectedGraphError, RootedTree, tree_from_edges
+from .trees import DisconnectedGraphError, RootedTree, to_dot, tree_from_edges
 
 SCHEMA_VERSION = 2
 
@@ -181,7 +180,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     timing_ms = int((time.perf_counter() - started) * 1000)
     _write_text(args.json, build_solve_report(solution, timing_ms))
     if args.dot is not None:
-        _write_text(args.dot, to_dot(g, solution.tree, solution.signs))
+        _write_text(args.dot, to_dot(solution.tree, solution.signs))
     if not solution.verification.ok:
         print("internal error: produced labeling failed verification", file=sys.stderr)
         return EXIT_INTERNAL
@@ -203,8 +202,8 @@ def _parse_sign_key(key: str) -> Edge:
     return (a, b)
 
 
-def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabeling, int]:
-    """Rebuild (tree, signs, root) from a solve report against ``g``.
+def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabeling]:
+    """Rebuild (tree, signs) from a solve report against ``g``.
 
     Everything recomputable (depths) is recomputed; contract violations
     (values of the wrong JSON type, tree edges outside the graph, malformed
@@ -259,7 +258,7 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
         parts = [f"unlabeled tree edges {missing}"] if missing else []
         parts += [f"labels for non-tree edges {sorted(extra)}"] if extra else []
         raise ParseError("labeling does not match the tree edges: " + "; ".join(parts))
-    return tree, tuple(signs), root
+    return tree, tuple(signs)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -269,8 +268,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (json.JSONDecodeError, RecursionError) as exc:
         # json.loads recurses once per nesting level.
         raise ParseError(f"solution is not valid JSON: {exc}") from None
-    tree, signs, _ = load_solution_document(g, doc)
-    report = verify_alternating(g, tree, signs)
+    tree, signs = load_solution_document(g, doc)
+    report = verify_alternating(tree, signs)
     failures = _failures_json(report.violations)
     sys.stdout.write(canonical_json({"ok": report.ok, "failures": failures}))
     if report.ok:

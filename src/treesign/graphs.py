@@ -1,4 +1,5 @@
-"""Simple undirected graphs: construction, parsing, generation, export.
+"""Simple undirected graphs: construction, search, parsing and edge-list
+emission, generation.
 
 Graphs are immutable, use dense 0-based vertex ids, and store each edge
 once in canonical orientation (u < v), lexicographically sorted. Inputs
@@ -14,10 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from .trees import RootedTree
+from typing import Iterable, Sequence
 
 Vertex = int
 Edge = tuple[int, int]
@@ -299,14 +297,8 @@ def parse_dimacs(text: str) -> tuple[Graph, NormalizationLog]:
                 raise ParseError("edge descriptor before 'p edge' header", lineno)
             if len(tokens) != 3:
                 raise ParseError("malformed edge descriptor", lineno)
-            try:
-                u = int(tokens[1])
-                v = int(tokens[2])
-            except ValueError:
-                u = v = -1
-            if u < 0 or v < 0:
-                u = _parse_index(tokens[1], lineno)
-                v = _parse_index(tokens[2], lineno)
+            u = _parse_index(tokens[1], lineno)
+            v = _parse_index(tokens[2], lineno)
             n = declared[0]
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"vertex index out of range for n={n}", lineno)
@@ -411,45 +403,3 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     )
     return Graph(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# DOT export
-
-
-def to_dot(
-    g: Graph,
-    tree: "RootedTree | None" = None,
-    signs: "Sequence[str | None] | None" = None,
-) -> str:
-    """Graphviz text for the graph, optionally with a spanning tree overlay.
-
-    Tree edges are solid and carry their sign as a label when one is given;
-    cotree edges are dashed; vertices show their depth when a tree is given.
-    ``signs`` labels the edge (v, parent v) at v, as assign_signs does; None
-    leaves it unlabeled.
-    """
-    if signs is not None:
-        if tree is None:
-            raise ValueError("sign labeling given without a tree")
-        if len(signs) != g.n:
-            raise ValueError(f"labeling has {len(signs)} entries for {g.n} vertices")
-    lines = ["graph {"]
-    for v in range(g.n):
-        if tree is not None:
-            lines.append(f'  {v} [label="{v} (d={tree.depth[v]})"];')
-        else:
-            lines.append(f'  {v} [label="{v}"];')
-    for u, v in g.edges:
-        if tree is None:
-            lines.append(f"  {u} -- {v};")
-            continue
-        child = v if tree.parent[v] == u else u if tree.parent[u] == v else None
-        if child is None:
-            lines.append(f"  {u} -- {v} [style=dashed];")
-        elif signs is None or signs[child] is None:
-            lines.append(f"  {u} -- {v} [style=solid];")
-        else:
-            lines.append(f'  {u} -- {v} [style=solid, label="{signs[child]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

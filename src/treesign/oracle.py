@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Edge, Graph, Vertex, breadth_first, graph_key, is_connected
+from .graphs import Edge, Graph, Vertex, graph_key, is_connected
 from .solver import solve
-from .trees import RootedTree, ancestor_related, require_connected, root_edges
+from .trees import RootedTree, _connected_search, ancestor_related, require_connected, root_edges
 
 DEFAULT_TREE_CAP = 1_000_000
 
@@ -50,16 +50,12 @@ def enumerate_spanning_trees(
     does work polynomial in n per tree yielded. Depths are taken by
     chasing parents. The backtracking state is a list of next-choice
     indices, one per non-root vertex, not the call stack, so its depth is
-    not bounded by Python's recursion limit. The breadth-first search also
-    decides connectivity and checks the root, so require_connected lists
-    the components only when it misses a vertex. Intended for small
-    graphs; raises EnumerationLimitError past ``max_trees`` trees.
+    not bounded by Python's recursion limit. The breadth-first search is
+    bfs_tree's (trees._connected_search), which refuses a disconnected
+    graph and checks the root. Intended for small graphs; raises
+    EnumerationLimitError past ``max_trees`` trees.
     """
-    if not 0 <= root < g.n or g.m < g.n - 1:
-        require_connected(g)
-    order = breadth_first(g.adjacency, root, [None] * g.n, [-1] * g.n)[:0:-1]
-    if len(order) != g.n - 1:
-        require_connected(g)
+    order = _connected_search(g, root)[0][:0:-1]
     adjacency = g.adjacency
     last = len(order)
     parent: list[Vertex | None] = [None] * g.n
@@ -72,7 +68,7 @@ def enumerate_spanning_trees(
             yielded += 1
             if yielded > max_trees:
                 raise EnumerationLimitError(
-                    f"more than {max_trees} spanning trees; raise max_trees to enumerate"
+                    f"more than {max_trees} spanning trees; raise --max-trees to enumerate"
                 )
             yield RootedTree(g, root, tuple(parent), _depths(parent, order, root))
             k -= 1

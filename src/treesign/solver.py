@@ -30,6 +30,7 @@ from .trees import (
     SwapMove,
     ancestor_related,
     bfs_tree,
+    cotree_edges,
     fundamental_path,
     potential,
     tree_path,
@@ -203,8 +204,8 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
     del order
-    # g.edges is sorted, so the filtered list is already a heap.
-    heap = [(u, v) for u, v in g.edges if parent[u] != v and parent[v] != u]
+    # cotree_edges is sorted, so its list is already a heap.
+    heap = list(cotree_edges(t))
     queued = set(heap)
     low = [-1] * n  # chain position of a component vertex's lowest chain ancestor
     moves: list[SwapMove] = []
@@ -312,11 +313,11 @@ class VerificationReport:
     violations: tuple[Violation, ...] = field(default=())
 
 
-def verify_alternating(g: Graph, t: RootedTree, phi: SignLabeling) -> VerificationReport:
+def verify_alternating(t: RootedTree, phi: SignLabeling) -> VerificationReport:
     """Check the defining property of an alternating sign labeling.
 
     Along every cotree edge's fundamental path, consecutive tree edges
-    must carry different signs. The check uses only the graph, the tree's
+    must carry different signs. The check uses only the tree's graph,
     parent and depth maps and the labeling, so it accepts hand-made
     inputs. The labeling must hold one entry per vertex: None at the root
     and "+" or "-" at every other vertex v, the sign of the tree edge
@@ -349,7 +350,7 @@ def verify_alternating(g: Graph, t: RootedTree, phi: SignLabeling) -> Verificati
         raise ValueError(
             f"labeling has {phi[v]!r} for tree edge ({v}, {parent[v]}), not '+' or '-'"
         )
-    cotree = [e for e in g.edges if parent[e[0]] != e[1] and parent[e[1]] != e[0]]
+    cotree = cotree_edges(t)
     if not cotree:
         return VerificationReport(ok=True)
 
@@ -424,4 +425,4 @@ def solve(g: Graph, root: Vertex = 0) -> Solution:
     """
     tree, trace = monotone_spanning_tree(g, root)
     signs = assign_signs(tree)
-    return Solution(tree, signs, trace, verify_alternating(g, tree, signs))
+    return Solution(tree, signs, trace, verify_alternating(tree, signs))

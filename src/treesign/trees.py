@@ -12,9 +12,13 @@ ascent prices its moves in closed form instead and is tested against it
 and against the restart reference in tests/reference.py, which re-roots
 the same way. tree_from_edges roots an untrusted edge set first and
 accepts it from the parent map: n - 1 in-range pairs that reach every
-vertex are a tree, and it is a tree of the graph iff n - 1 graph edges
-join a vertex to its parent. Only a rejected set is checked as a set, to
-name its fault.
+vertex are a tree, and it is a tree of the graph iff all but n - 1 graph
+edges are cotree edges. Only a rejected set is checked as a set, to name
+its fault.
+
+cotree_edges is the package's one split of graph edges into tree and
+cotree edges; _connected_search, shared by bfs_tree and the oracle's
+enumerator, its one search that refuses a disconnected graph.
 """
 
 from __future__ import annotations
@@ -72,20 +76,32 @@ class RootedTree:
         )
 
 
+def _connected_search(
+    g: Graph, root: Vertex
+) -> tuple[list[Vertex], list[Vertex | None], list[int]]:
+    """Breadth-first search of a connected graph from ``root``: the visit
+    order and the parent and depth lists. A disconnected graph raises
+    require_connected's error. Too few edges are refused before any O(n)
+    work, and the search itself decides connectivity, so the components
+    are listed only when it misses a vertex. A root out of range is named
+    only after a disconnected graph has been refused."""
+    if not 0 <= root < g.n or g.m < g.n - 1:
+        require_connected(g)
+    parent: list[Vertex | None] = [None] * g.n
+    depth = [-1] * g.n
+    order = breadth_first(g.adjacency, root, parent, depth)
+    if len(order) != g.n:
+        require_connected(g)
+    return order, parent, depth
+
+
 def bfs_tree(g: Graph, root: Vertex) -> RootedTree:
     """Breadth-first spanning tree; depths equal graph distance from root.
 
     Neighbors are explored in sorted order, so the result is deterministic.
-    A disconnected graph raises require_connected's error; the search
-    itself decides connectivity, so the components are listed only on
-    failure.
+    A disconnected graph raises require_connected's error.
     """
-    if g.m < g.n - 1:
-        require_connected(g)
-    parent: list[Vertex | None] = [None] * g.n
-    depth = [-1] * g.n
-    if len(breadth_first(g.adjacency, root, parent, depth)) != g.n:
-        require_connected(g)
+    _, parent, depth = _connected_search(g, root)
     return RootedTree(g, root, tuple(parent), tuple(depth))
 
 
@@ -95,8 +111,8 @@ def tree_from_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree
     Validates that the edges belong to the graph and form a spanning tree.
     A set is accepted from its parent map: n - 1 in-range pairs that reach
     every vertex from the root form a spanning tree, so they hold no loop
-    and no duplicate, and they are graph edges iff n - 1 edges of ``g``
-    join a vertex to its parent. Only a rejected set is canonicalised and
+    and no duplicate, and they are graph edges iff all but n - 1 edges of
+    ``g`` are cotree edges. Only a rejected set is canonicalised and
     checked as a set, to name its first fault: a loop, a duplicate, an
     edge outside the graph, the wrong count, or a set that does not span.
     """
@@ -108,10 +124,8 @@ def tree_from_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree
         and all(0 <= u < n and 0 <= v < n for u, v in pairs)
     ):
         t = root_edges(g, pairs, root)
-        if t is not None:
-            parent = t.parent
-            if sum(1 for u, v in g.edges if parent[u] == v or parent[v] == u) == n - 1:
-                return t
+        if t is not None and len(cotree_edges(t)) == g.m - (n - 1):
+            return t
     edge_list = [canonical_edge(u, v) for u, v in pairs]
     edge_set = set(edge_list)
     if len(edge_set) != len(edge_list):
@@ -152,8 +166,30 @@ def potential(t: RootedTree) -> int:
 def cotree_edges(t: RootedTree) -> tuple[Edge, ...]:
     """Graph edges outside the tree, lexicographically sorted. An edge is a
     tree edge iff one endpoint is the other's parent."""
-    parent = t.parent
-    return tuple((u, v) for u, v in t.graph.edges if parent[u] != v and parent[v] != u)
+    g, parent = t.graph, t.parent
+    return tuple([e for e in g.edges if parent[e[0]] != e[1] and parent[e[1]] != e[0]])
+
+
+def to_dot(tree: RootedTree, signs: Sequence[str | None]) -> str:
+    """Graphviz text for the tree's graph: vertices show their depth, tree
+    edges are solid and labeled with their sign, cotree edges are dashed.
+    ``signs`` labels the edge (v, parent v) at v, as assign_signs does; None
+    leaves it unlabeled."""
+    g, parent = tree.graph, tree.parent
+    if len(signs) != g.n:
+        raise ValueError(f"labeling has {len(signs)} entries for {g.n} vertices")
+    lines = ["graph {"]
+    lines.extend(f'  {v} [label="{v} (d={d})"];' for v, d in enumerate(tree.depth))
+    for u, v in g.edges:
+        child = v if parent[v] == u else u if parent[u] == v else None
+        if child is None:
+            lines.append(f"  {u} -- {v} [style=dashed];")
+        elif signs[child] is None:
+            lines.append(f"  {u} -- {v} [style=solid];")
+        else:
+            lines.append(f'  {u} -- {v} [style=solid, label="{signs[child]}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def ancestor_related(
@@ -176,18 +212,23 @@ def ancestor_related(
     return a == b
 
 
+def _require_cotree_edge(t: RootedTree, e: Edge) -> None:
+    """Refuse ``e``, in canonical order, unless it is a cotree edge of ``t``."""
+    if e not in t.graph.edge_set:
+        raise ValueError(f"{e} is not an edge of the graph")
+    a, b = e
+    if t.parent[a] == b or t.parent[b] == a:
+        raise ValueError(f"{e} is a tree edge, not a cotree edge")
+
+
 def fundamental_path(t: RootedTree, e: Edge) -> tuple[Vertex, ...]:
     """The unique tree path joining the endpoints of a cotree edge.
 
     The first element is e's smaller endpoint, the last its larger one.
     """
     e = canonical_edge(*e)
-    if e not in t.graph.edge_set:
-        raise ValueError(f"{e} is not an edge of the graph")
-    a, b = e
-    if t.parent[a] == b or t.parent[b] == a:
-        raise ValueError(f"{e} is a tree edge, not a cotree edge")
-    return tuple(tree_path(t.parent, t.depth, a, b))
+    _require_cotree_edge(t, e)
+    return tuple(tree_path(t.parent, t.depth, *e))
 
 
 def tree_path(
@@ -241,12 +282,8 @@ def _swapped(t: RootedTree, add: Edge, remove: Edge) -> RootedTree:
     path."""
     add = canonical_edge(*add)
     remove = canonical_edge(*remove)
+    _require_cotree_edge(t, add)
     parent = t.parent
-    if add not in t.graph.edge_set:
-        raise ValueError(f"{add} is not an edge of the graph")
-    a, b = add
-    if parent[a] == b or parent[b] == a:
-        raise ValueError(f"{add} is a tree edge, not a cotree edge")
     u, v = remove
     if remove not in t.graph.edge_set or (parent[u] != v and parent[v] != u):
         raise ValueError(f"{remove} is not a tree edge")

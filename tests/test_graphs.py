@@ -449,26 +449,18 @@ class TestGnp:
 
 
 class TestDot:
-    def test_plain_graph(self):
-        out = to_dot(named_graph("path", (3,)))
-        assert "0 -- 1;" in out and "dashed" not in out
-
     def test_tree_overlay_with_signs(self):
         g = named_graph("complete", (3,))
         t = bfs_tree(g, 0)
-        out = to_dot(g, t, assign_signs(t))
+        out = to_dot(t, assign_signs(t))
         assert '0 -- 1 [style=solid, label="-"];' in out
         assert "1 -- 2 [style=dashed];" in out
         assert '[label="0 (d=0)"]' in out
-        # without signs, tree edges are solid and unlabelled
-        out = to_dot(g, t)
-        assert "0 -- 1 [style=solid];" in out and "0 -- 2 [style=solid];" in out
-        assert "1 -- 2 [style=dashed];" in out and 'label="-"' not in out
 
     def test_labels_sit_at_each_edges_child(self):
         g = named_graph("path", (4,))
         t = bfs_tree(g, 2)
-        assert to_dot(g, t, ("+", "-", None, "+")) == (
+        assert to_dot(t, ("+", "-", None, "+")) == (
             "graph {\n"
             '  0 [label="0 (d=2)"];\n'
             '  1 [label="1 (d=1)"];\n'
@@ -480,14 +472,12 @@ class TestDot:
             "}\n"
         )
         # an entry of None leaves its edge unlabelled
-        assert "  1 -- 2 [style=solid];\n" in to_dot(g, t, ("+", None, None, "+"))
+        assert "  1 -- 2 [style=solid];\n" in to_dot(t, ("+", None, None, "+"))
 
     def test_rejects_inconsistent_labeling(self):
         g = named_graph("complete", (3,))
         t = bfs_tree(g, 0)
         for phi in [(None, "-"), (None, "-", "-", "+"), ()]:
             with pytest.raises(ValueError) as refused:
-                to_dot(g, t, phi)
+                to_dot(t, phi)
             assert str(refused.value) == f"labeling has {len(phi)} entries for 3 vertices"
-        with pytest.raises(ValueError, match="without a tree"):
-            to_dot(g, None, assign_signs(t))

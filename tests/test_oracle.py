@@ -220,15 +220,15 @@ class TestCounting:
             count_spanning_trees(g)
         assert str(raised.value) == str(expected.value)
         assert message in str(raised.value)
-        # The enumerator raises the same error, at a valid root and before
-        # naming a root out of range.
+        # The enumerator and bfs_tree raise the same error, at a valid root
+        # and before naming a root out of range.
         for root in (0, n):
             with pytest.raises(DisconnectedGraphError) as enumerated:
                 list(enumerate_spanning_trees(g, root))
             assert str(enumerated.value) == str(expected.value)
-        with pytest.raises(DisconnectedGraphError) as searched:
-            bfs_tree(g, 0)
-        assert str(searched.value) == str(expected.value)
+            with pytest.raises(DisconnectedGraphError) as searched:
+                bfs_tree(g, root)
+            assert str(searched.value) == str(expected.value)
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=40)

@@ -67,8 +67,8 @@ def walking_verifier(t, phi):
     return VerificationReport(ok=not violations, violations=tuple(violations))
 
 
-def assert_matches_walking_verifier(g, t, phi):
-    report = verify_alternating(g, t, phi)
+def assert_matches_walking_verifier(t, phi):
+    report = verify_alternating(t, phi)
     assert report == walking_verifier(t, phi)
     return report
 
@@ -327,12 +327,12 @@ class TestAssignSigns:
 class TestVerifyAlternating:
     def test_accepts_a_solution(self):
         s = solve(K3)
-        assert verify_alternating(K3, s.tree, s.signs).ok
+        assert verify_alternating(s.tree, s.signs).ok
 
     def test_reports_the_first_clash(self):
         s = solve(K3)
         broken = flipped(s.signs, child(s.tree, (0, 2)))
-        report = verify_alternating(K3, s.tree, broken)
+        report = verify_alternating(s.tree, broken)
         assert not report.ok
         (v,) = report.violations
         assert v.cotree_edge == (0, 1)
@@ -342,7 +342,7 @@ class TestVerifyAlternating:
 
     def test_no_cotree_edges_is_vacuously_ok(self):
         t = bfs_tree(P4, 0)
-        assert verify_alternating(P4, t, (None, "+", "+", "+")).ok
+        assert verify_alternating(t, (None, "+", "+", "+")).ok
 
     @pytest.mark.parametrize(
         "phi, message",
@@ -362,7 +362,7 @@ class TestVerifyAlternating:
     def test_refuses_malformed_labelings(self, phi, message):
         t = bfs_tree(K3, 0)
         with pytest.raises(ValueError) as refused:
-            verify_alternating(K3, t, phi)
+            verify_alternating(t, phi)
         assert str(refused.value) == message
 
     def test_rejects_partial_labelings(self):
@@ -377,13 +377,13 @@ class TestVerifyAlternating:
             phi = (None,) + tuple(None if b else s for b, s in zip(blank, full[1:]))
             v = blank.index(True) + 1
             with pytest.raises(ValueError) as refused:
-                verify_alternating(g, t, phi)
+                verify_alternating(t, phi)
             assert str(refused.value) == (
                 f"labeling has None for tree edge ({v}, {t.parent[v]}), not '+' or '-'"
             )
         for k in range(g.n):
             with pytest.raises(ValueError) as refused:
-                verify_alternating(g, t, full[:k])
+                verify_alternating(t, full[:k])
             assert str(refused.value) == f"labeling has {k} entries for {g.n} vertices"
 
     @given(rooted_connected_graphs(max_n=6), st.data())
@@ -404,10 +404,10 @@ class TestVerifyAlternating:
             (s is None) if p is None else s in ("+", "-") for s, p in zip(phi, t.parent)
         )
         if well_formed:
-            assert verify_alternating(g, t, phi) == walking_verifier(t, phi)
+            assert verify_alternating(t, phi) == walking_verifier(t, phi)
         else:
             with pytest.raises(ValueError, match="^labeling has "):
-                verify_alternating(g, t, phi)
+                verify_alternating(t, phi)
 
     def test_signs_compare_by_value(self):
         # Equal strings need not be one object; a str subclass makes copies
@@ -422,7 +422,7 @@ class TestVerifyAlternating:
             assert copies == phi and copies[1] is not phi[1]
             for v in range(1, g.n):
                 mixed = flipped(copies, v)
-                assert verify_alternating(g, t, mixed) == walking_verifier(t, mixed), (g.edges, v)
+                assert verify_alternating(t, mixed) == walking_verifier(t, mixed), (g.edges, v)
 
     def test_matches_walking_verifier_exhaustively(self):
         # Every connected graph with n <= 4, spanning tree, root and labeling.
@@ -432,7 +432,7 @@ class TestVerifyAlternating:
                 for root in range(n):
                     for t in enumerate_spanning_trees(g, root):
                         for signs in itertools.product("+-", repeat=n - 1):
-                            report = assert_matches_walking_verifier(g, t, labeling(t, signs))
+                            report = assert_matches_walking_verifier(t, labeling(t, signs))
                             cases += 1
                             failing += not report.ok
         assert (cases, failing) == (4173, 2450)
@@ -465,7 +465,7 @@ class TestVerifyAlternating:
             if kind == "parity with one flip" and edges:
                 e = data.draw(st.sampled_from(t.sorted_edges()))
                 phi = flipped(phi, child(t, e))
-        assert_matches_walking_verifier(g, t, phi)
+        assert_matches_walking_verifier(t, phi)
 
     def test_passing_edges_walk_no_path(self, monkeypatch):
         # The pass/fail decision walks no tree path; only failing edges do.
@@ -496,16 +496,16 @@ class TestVerifyAlternating:
             monkeypatch.setattr(treesign.solver, name, counted)
         for h, t in instances:
             phi = assign_signs(t)
-            assert verify_alternating(h, t, phi).ok
+            assert verify_alternating(t, phi).ok
             assert calls == []
             e = t.sorted_edges()[(h.n - 1) * 5 // 6]
             phi = flipped(phi, child(t, e))
-            report = verify_alternating(h, t, phi)
+            report = verify_alternating(t, phi)
             assert len(calls) == len(report.violations)
             calls.clear()
 
         phi = flipped(assign_signs(deep), 2501)  # the edge (2500, 2501)
-        report = verify_alternating(g, deep, phi)
+        report = verify_alternating(deep, phi)
         assert [v.cotree_edge for v in report.violations] == [(0, k) for k in range(2502, n, 100)]
         assert {v.index for v in report.violations} == {2499}
         assert len(calls) == 5
@@ -561,6 +561,6 @@ class TestSolve:
     def test_solutions_always_verify(self, case):
         g, root = case
         s = solve(g, root)
-        assert verify_alternating(g, s.tree, s.signs).ok
+        assert verify_alternating(s.tree, s.signs).ok
         assert verify_monotone(g, s.tree).ok
         assert [x is None for x in s.signs] == [p is None for p in s.tree.parent]
