@@ -60,7 +60,7 @@ from .oracle import (
     DEFAULT_TREE_CAP, EnumerationLimitError, enumerate_connected_graphs, exhaustive_check
 )
 from .solver import NoImprovingSwapError, SignLabeling, Solution, solve, verify_alternating
-from .trees import DisconnectedGraphError, RootedTree, to_dot, tree_from_edges
+from .trees import DisconnectedGraphError, RootedTree, require_connected, to_dot, tree_from_edges
 
 SCHEMA_VERSION = 2
 
@@ -208,8 +208,9 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
     Everything recomputable (depths) is recomputed; contract violations
     (values of the wrong JSON type, tree edges outside the graph, malformed
     keys, unknown signs, labels that miss a tree edge or name another edge)
-    raise ParseError. JSON booleans are not integers here, although Python
-    treats them as such.
+    raise ParseError, unless a tree is refused on a disconnected graph,
+    which has none: that raises DisconnectedGraphError. JSON booleans are
+    not integers here, although Python treats them as such.
     """
     if not isinstance(doc, dict):
         raise ParseError("solution document must be a JSON object")
@@ -238,6 +239,7 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
     try:
         tree = tree_from_edges(g, edges, root)
     except ValueError as exc:
+        require_connected(g)
         raise ParseError(f"tree does not fit the graph: {exc}") from None
     # A key that names a tree edge labels its child; any other key is
     # parsed, and is then refused or collected as a non-tree label.

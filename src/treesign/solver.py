@@ -33,8 +33,6 @@ from .trees import (
     cotree_edges,
     fundamental_path,
     potential,
-    tree_path,
-    valley_index,
 )
 
 
@@ -77,51 +75,54 @@ def falsification_instance(
     }
 
 
-def _valley_gains(
-    path: Sequence[Vertex], k: int, depth: Sequence[int], size: Sequence[int]
-) -> tuple[int, int]:
-    """Potential gains of removing the two edges at the valley ``k`` of a
-    non-monotone tree path, (path[k-1], path[k]) and (path[k], path[k+1]),
-    given the depth and subtree size of every path vertex but the valley.
+def _valley_exchanges(
+    parent: Sequence[Vertex | None], depth: Sequence[int], size: Sequence[int], a: Vertex, b: Vertex
+) -> tuple[Vertex, list[Vertex], list[Vertex], int, int]:
+    """One climb from both ends of a non-monotone tree path a ... top ... b
+    to the endpoints' lowest common ancestor ``top``, given parent, depth
+    and subtree-size maps: top, the branches below it as climbed, up_a =
+    path[:k] and up_b = path[:k:-1] with top at index k, and the gains of
+    removing (up_a[-1], top) and (top, up_b[-1]). A step that does not
+    lower the depth by exactly 1 raises AssertionError: the path's depths
+    are not valley-shaped. (No tree path has an interior local maximum:
+    both its path neighbors would have to be its parent.)
 
-    The depth sequence of a non-monotone tree path descends to a unique
-    valley and ascends after it (an interior local maximum is impossible:
-    both its path neighbors would have to be its parent). Removing the
-    j-th edge on the descending branch detaches subtree(v_j) and re-hangs
-    it through the cotree edge; a vertex whose lowest path ancestor is v_i
-    then changes depth by exactly depth(v_0) + depth(v_l) + 1 - 2*depth(v_i),
-    so the gains are prefix sums weighted by subtree sizes along the
-    branch, and symmetrically on the ascending side.
+    Removing the edge above v_i on a's branch re-hangs subtree(v_i)
+    through the cotree edge: a vertex whose lowest path ancestor is v_j
+    changes depth by depth(a) + depth(b) + 1 - 2*depth(v_j), which grows
+    by 2 per step up. Weighted by size(v_j) - size(v_{j-1}) and summed by
+    parts, the left valley gain is size(up_a[-1]) * len(path) - 2 * (the
+    sizes along up_a summed); the right one is the same along up_b.
 
-    The increments along a branch have the sign of depth(v_0) + depth(v_l)
-    + 1 - 2*depth(v_i), which strictly grows toward the valley, and every
-    weight is at least 1. So a branch's gains fall and then rise, and an
-    edge off the valley with a gain of at least 1 has a positive increment
-    at or before it, hence a positive one at every later step: its
-    branch's valley edge gains strictly more. The removal of maximum gain,
-    ties going to the smallest path index, is therefore the left valley
-    edge when its gain is at least the right one's and the right valley
-    edge otherwise, whenever that gain is at least 1; and when neither
-    valley edge gains 1, no edge does.
+    Along a branch, the gains' increments have the sign of that depth
+    change, which strictly grows toward the valley, and every weight is at
+    least 1. So a branch's gains fall and then rise, and an edge off the
+    valley with a gain of at least 1 has a positive increment at or before
+    it, hence a positive one at every later step: its branch's valley edge
+    gains strictly more. The removal of maximum gain, ties going to the
+    smallest path index, is therefore the left valley edge when its gain
+    is at least the right one's and the right valley edge otherwise,
+    whenever that gain is at least 1; and when neither valley edge gains
+    1, no edge does.
     """
-    dep = [depth[v] for v in path]
-    last = len(path) - 1
-    if any(dep[i] <= dep[i + 1] for i in range(k)) or any(
-        dep[i] >= dep[i + 1] for i in range(k, last)
-    ):
-        raise AssertionError(f"tree path depths are not valley-shaped: {dep}")
-    gain = dep[0] + dep[last] + 1
-    left = prev = 0
-    for i in range(k):
-        sz = size[path[i]]
-        left += (sz - prev) * (gain - 2 * dep[i])
-        prev = sz
-    right = prev = 0
-    for i in range(last, k, -1):
-        sz = size[path[i]]
-        right += (sz - prev) * (gain - 2 * dep[i])
-        prev = sz
-    return left, right
+    up_a: list[Vertex] = []
+    up_b: list[Vertex] = []
+    x, y, dx, dy, xs, ys = a, b, depth[a], depth[b], up_a, up_b
+    while x != y:
+        if dx < dy:  # the deeper end climbs, so neither passes top
+            x, y, dx, dy, xs, ys = y, x, dy, dx, ys, xs
+        xs.append(x)
+        x = parent[x]  # type: ignore[assignment]
+        dx -= 1
+        if depth[x] != dx:
+            raise AssertionError(
+                f"tree path depths are not valley-shaped: climbing from {a} and {b}, "
+                f"vertex {x} has depth {depth[x]}, not {dx}"
+            )
+    length = len(up_a) + len(up_b) + 1
+    left = size[up_a[-1]] * length - 2 * sum(map(size.__getitem__, up_a))
+    right = size[up_b[-1]] * length - 2 * sum(map(size.__getitem__, up_b))
+    return x, up_a, up_b, left, right
 
 
 def _candidates(path: Sequence[Vertex], deltas: list[int]) -> list[tuple[Edge, int]]:
@@ -148,12 +149,12 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     lexicographically first cotree edge whose fundamental path is not
     monotone, with the exchange of maximum gain over the whole path, ties
     going to the smallest path index: that is the better of the two valley
-    exchanges, the left one on a tie (_valley_gains), and a best gain
-    below 1 raises NoImprovingSwapError. The potential strictly increases
-    with every move and is at most C(n, 2), since a tree's i-th smallest
-    depth is at most i, so the loop terminates. The move sequence is that
-    of rescanning all cotree edges after every exchange (the restart
-    reference in tests/reference.py).
+    exchanges, the left one on a tie, and a best gain below 1 raises
+    NoImprovingSwapError. The potential strictly increases with every move
+    and is at most C(n, 2), since a tree's i-th smallest depth is at most
+    i, so the loop terminates. The move sequence is that of rescanning all
+    cotree edges after every exchange (the restart reference in
+    tests/reference.py).
 
     State. One tree, updated in place by each move: parent, depth and
     subtree-size lists and per-vertex child lists; an edge is a tree edge
@@ -164,8 +165,12 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     Queue invariant. Every cotree edge whose fundamental path is not
     monotone is queued; a pop re-tests its edge by the ancestor walk
     (ancestor_related), so healed entries are dropped without building
-    their path, and the first violating pop is the lexicographically
+    anything, and the first violating pop is the lexicographically
     first violation. Initially every cotree edge is queued.
+
+    Pricing. A violating pop climbs once to the valley (_valley_exchanges),
+    building the two branches that the move re-hangs and re-sizes and
+    pricing both valley exchanges; only a failure dump builds the path.
 
     Re-queue. Let e's path be a ... top ... b. The exchange removes an
     edge (top, child) at the valley, so the
@@ -215,20 +220,19 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
         a, b = e
         if ancestor_related(parent, depth, a, b):
             continue  # monotone
-        path = tree_path(parent, depth, a, b)
-        k = valley_index(depth, path)
-        left, right = _valley_gains(path, k, depth, size)
+        top, up_a, up_b, left, right = _valley_exchanges(parent, depth, size, a, b)
         # The component is the branch below top that holds the inner
         # endpoint; the other branch, outer up to just below top, gains it.
         if left >= right:
-            gain, chain, gaining = left, path[:k], path[:k:-1]
+            gain, chain, gaining = left, up_a, up_b
         else:
-            gain, chain, gaining = right, path[:k:-1], path[:k]
+            gain, chain, gaining = right, up_b, up_a
         if gain < 1:
             t = RootedTree(g, root, tuple(parent), tuple(depth))
-            candidates = _candidates(path[k - 1 : k + 2], [left, right])
-            raise NoImprovingSwapError(falsification_instance(t, e, tuple(path), candidates))
-        inner, child, outer, top = chain[0], chain[-1], gaining[0], path[k]
+            path = (*up_a, top, *reversed(up_b))
+            candidates = _candidates((up_a[-1], top, up_b[-1]), [left, right])
+            raise NoImprovingSwapError(falsification_instance(t, e, path, candidates))
+        inner, child, outer = chain[0], chain[-1], gaining[0]
         moves.append(SwapMove(e, canonical_edge(top, child), gain))
 
         comp_size = size[child]
@@ -298,7 +302,7 @@ class Violation:
     ``index`` is the offending position: for alternation, the first j
     whose path edges j and j+1 carry equal signs; for monotonicity (a
     check only tests/reference.py makes), the valley index (the
-    endpoints' lowest common ancestor, see valley_index).
+    endpoints' lowest common ancestor).
     """
 
     cotree_edge: Edge

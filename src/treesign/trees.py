@@ -255,17 +255,6 @@ def tree_path(
     return up_a
 
 
-def valley_index(depth: Sequence[int], path: Sequence[Vertex]) -> int:
-    """Index of the shallowest vertex of a tree path, given the tree's depth
-    map. The path is strictly monotone in depth iff this is an end.
-
-    A tree path a ... l ... b falls by 1 per step to the endpoints' lowest
-    common ancestor l and rises by 1 after it, so with l at index k,
-    depth(a) - depth(b) = k - (len(path) - 1 - k).
-    """
-    return (len(path) - 1 + depth[path[0]] - depth[path[-1]]) // 2
-
-
 @dataclass(frozen=True)
 class SwapMove:
     """One edge exchange: add a cotree edge, remove a fundamental-path edge."""

@@ -1,13 +1,15 @@
 """Reference implementations that the tests compare the package against.
 
 The package's ascent fixes one cotree edge at a time on a tree it updates
-in place and prices only the two valley exchanges, in closed form
-(solver._valley_gains). The references share none of that pricing or
-selection: they re-root every candidate exchange afresh (trees._swapped,
-through delta_potential), take their own argmax, and rescan from the
-first cotree edge after every move, on immutable trees. They share only
-the monotonicity test (trees.ancestor_related) and the failure dump.
-They are quadratically slower, and nothing outside the tests runs them.
+in place and prices only the two valley exchanges, in closed form, in the
+climb that finds the valley (solver._valley_exchanges). The references
+share none of that pricing or selection: they re-root every candidate
+exchange afresh (trees._swapped, through delta_potential), take their own
+argmax, and rescan from the first cotree edge after every move, on
+immutable trees, and they locate a path's valley by its length and end
+depths (valley_index). They share only the monotonicity test
+(trees.ancestor_related) and the failure dump. They are quadratically
+slower, and nothing outside the tests runs them.
 """
 
 from treesign import (
@@ -24,7 +26,18 @@ from treesign import (
     potential,
 )
 from treesign.solver import _candidates, falsification_instance
-from treesign.trees import _swapped, ancestor_related, valley_index
+from treesign.trees import _swapped, ancestor_related
+
+
+def valley_index(depth, path):
+    """Index of the shallowest vertex of a tree path, given the tree's depth
+    map. The path is strictly monotone in depth iff this is an end.
+
+    A tree path a ... l ... b falls by 1 per step to the endpoints' lowest
+    common ancestor l and rises by 1 after it, so with l at index k,
+    depth(a) - depth(b) = k - (len(path) - 1 - k).
+    """
+    return (len(path) - 1 + depth[path[0]] - depth[path[-1]]) // 2
 
 
 def apply_swap(t, move):
@@ -42,7 +55,7 @@ def find_improving_swap(t, e):
     without one raises NoImprovingSwapError. Each candidate's exchanged
     tree is rooted afresh (delta_potential), which costs O(path * n),
     where the ascent prices only the two valley edges in closed form, in
-    O(path).
+    O(path), as it climbs to the valley.
     """
     e = canonical_edge(*e)
     path = fundamental_path(t, e)

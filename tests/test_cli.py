@@ -311,7 +311,8 @@ class TestSolve:
         assert report_of(capsys) == K3_REPORT
 
     def test_no_improving_swap_exits_5(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(solver, "_valley_gains", lambda *args: (0, 0))
+        climb = solver._valley_exchanges
+        monkeypatch.setattr(solver, "_valley_exchanges", lambda *args: climb(*args)[:3] + (0, 0))
         path = write(tmp_path, "k3.edges", K3_TEXT)
         assert main(["solve", path]) == 5
         assert capsys.readouterr().err.startswith("falsification: ")
@@ -561,6 +562,24 @@ class TestVerify:
             bad = write(tmp_path, "bad.json", json.dumps(doc))
             assert main(["verify", graph, bad]) == 2, mutate
             capsys.readouterr()
+
+    def test_disconnected_graph_exits_3(self, tmp_path, capsys):
+        # A report whose tree cannot fit is refused for the graph's sake
+        # when the graph is disconnected (exit 3, as solve and oracle do),
+        # and for the tree's otherwise (exit 2).
+        report = {"tree": {"edges": [[0, 1], [1, 2]]}, "signs": {"0-1": "-", "1-2": "+"}}
+        solution = write(tmp_path, "path.json", json.dumps(report))
+        split, _ = make_graph(5, [(0, 1), (1, 2), (3, 4)])
+        with pytest.raises(DisconnectedGraphError) as expected:
+            require_connected(split)
+        graph = write(tmp_path, "split.edges", emit_edge_list(split))
+        assert main(["verify", graph, solution]) == 3
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        graph = write(tmp_path, "p5.edges", emit_edge_list(named_graph("path", (5,))))
+        assert main(["verify", graph, solution]) == 2
+        assert capsys.readouterr().err == (
+            "error: tree does not fit the graph: a spanning tree of n=5 needs 4 edges, got 2\n"
+        )
 
     @pytest.mark.parametrize(
         "where, value",

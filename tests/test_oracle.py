@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs, tree_edges
+from reference import valley_index
 from treesign import (
     DisconnectedGraphError,
     EnumerationLimitError,
@@ -409,7 +410,7 @@ class TestNonMonotoneList:
                     expected = []
                     for t in enumerate_spanning_trees(g, root):
                         paths = [trees.tree_path(t.parent, t.depth, u, v) for u, v in cotree_edges(t)]
-                        if any(0 < trees.valley_index(t.depth, p) < len(p) - 1 for p in paths):
+                        if any(0 < valley_index(t.depth, p) < len(p) - 1 for p in paths):
                             edges = tree_edges(t)
                             expected.append(sum(bit for e, bit in edge_bits if e in edges))
                         trees_seen += 1

@@ -1,11 +1,18 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import child, flipped, rooted_connected_graphs, tree_edges
-from reference import _monotone_spanning_tree_restart, find_improving_swap, verify_monotone
+from reference import (
+    _monotone_spanning_tree_restart,
+    find_improving_swap,
+    valley_index,
+    verify_monotone,
+)
 from treesign import (
     DisconnectedGraphError,
     NoImprovingSwapError,
@@ -31,10 +38,10 @@ import treesign.solver
 from treesign.solver import (
     VerificationReport,
     Violation,
-    _valley_gains,
+    _valley_exchanges,
     falsification_instance,
 )
-from treesign.trees import ancestor_related, tree_path, valley_index
+from treesign.trees import ancestor_related
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -142,7 +149,11 @@ class TestFindImprovingSwap:
                             for v in sorted(range(n), key=t.depth.__getitem__, reverse=True):
                                 if t.parent[v] is not None:
                                     sizes[t.parent[v]] += sizes[v]
-                            left, right = _valley_gains(path, k, t.depth, sizes)
+                            top, up_a, up_b, left, right = _valley_exchanges(
+                                t.parent, t.depth, sizes, *e
+                            )
+                            assert (*up_a, top, *reversed(up_b)) == path
+                            assert len(up_a) == k
                             assert (left, right) == (deltas[k - 1], deltas[k])
                             assert path[k] in find_improving_swap(t, e).removed
                             assert all(
@@ -166,7 +177,10 @@ class TestFindImprovingSwap:
         """The ascent's safety net: when neither valley exchange gains 1,
         solve() raises with the path and both valley candidates, in path
         order."""
-        monkeypatch.setattr(treesign.solver, "_valley_gains", lambda *args: (-1, 0))
+        climb = treesign.solver._valley_exchanges
+        monkeypatch.setattr(
+            treesign.solver, "_valley_exchanges", lambda *args: climb(*args)[:3] + (-1, 0)
+        )
         with pytest.raises(NoImprovingSwapError) as raised:
             solve(K3)
         instance = raised.value.instance
@@ -177,6 +191,40 @@ class TestFindImprovingSwap:
             {"removed": [0, 1], "delta_psi": -1},
             {"removed": [0, 2], "delta_psi": 0},
         ]
+
+
+VALLEY_SHAPE = "^tree path depths are not valley-shaped: "
+
+
+class TestValleyClimb:
+    def test_triangle(self):
+        t = tree_from_edges(K3, [(0, 1), (0, 2)], 0)
+        assert _valley_exchanges(t.parent, t.depth, [3, 1, 1], 1, 2) == (0, [1], [2], 1, 1)
+        assert _valley_exchanges(t.parent, t.depth, [3, 1, 1], 2, 1) == (0, [2], [1], 1, 1)
+
+    def test_one_corrupt_depth_on_the_path_is_refused(self):
+        """A depth one off at any interior vertex of a non-monotone path,
+        or one too deep at an endpoint, breaks the climb's step-by-1 rule
+        and raises the valley-shape AssertionError, on every such path of
+        every spanning tree of every connected graph with n <= 5 at root 0.
+        (An endpoint made shallower can instead send the other end's climb
+        past the root.)"""
+        refused = 0
+        for n in range(3, 6):
+            for g in enumerate_connected_graphs(n):
+                for t in enumerate_spanning_trees(g, 0):
+                    for e in cotree_edges(t):
+                        if ancestor_related(t.parent, t.depth, *e):
+                            continue
+                        path = fundamental_path(t, e)
+                        for i, v in enumerate(path):
+                            for shift in (1,) if i in (0, len(path) - 1) else (-1, 1):
+                                depth = list(t.depth)
+                                depth[v] += shift
+                                with pytest.raises(AssertionError, match=VALLEY_SHAPE):
+                                    _valley_exchanges(t.parent, depth, [1] * n, *e)
+                                refused += 1
+        assert refused == 51_796
 
 
 class TestMonotoneSpanningTree:
@@ -237,6 +285,37 @@ class TestMonotoneSpanningTree:
         trace = assert_matches_restart_reference(named_graph(family, params), 0)
         assert len(trace.moves) == moves
 
+    @pytest.mark.parametrize(
+        "graph, moves, digest",
+        [
+            (("complete", (40,)), 380, "05a3ad8376239fc32e86bfe2a74e55d5962deaaafd5d627ae477640bae6b13a6"),
+            (("grid", (12, 9)), 44, "cd3598cf98e78ce84b0307319e836c5f3452dfe17af3e05773231eb67c14e52f"),
+            (("hypercube", (6,)), 83, "f96d59f372a8df46dbf5539a7b95fdfa3ab97ad871d4b6ba138ef6efeb8b80b1"),
+            ((60, 0.1, 2), 44, "fdd109a62e9657cc50b8fc92e8d678f3157eb97425010269585846f5cadcb5cf"),
+            ((60, 0.1, 3), 50, "20c50866f9c77e538b350ece5aa8fc7a469bd95721b1a7f8030777ab2d6d8b09"),
+            ((60, 0.1, 4), 48, "ca82909b79f4fddf850517795f9fc76feb2b03f23a6c93f32396e5d0e44a4a1b"),
+            ((60, 0.3, 1), 148, "95b7a48f03f61d617e4fc81fb2f94845de363a9cdceb7bf4b712eddd84fda84a"),
+            ((60, 0.3, 2), 131, "72eb2b23332da0f59eda0fdba93a5a072815e667912918485aeb50d504ab7d97"),
+            ((60, 0.3, 3), 156, "ded2da7692029cac5e0255816b86fd9cb4515b69896c9b03717b8d8c2516530c"),
+        ],
+        ids=["K40", "grid12x9", "hypercube6", "gnp60-0.1-2", "gnp60-0.1-3", "gnp60-0.1-4",
+             "gnp60-0.3-1", "gnp60-0.3-2", "gnp60-0.3-3"],
+    )
+    def test_move_traces_are_pinned(self, graph, moves, digest):
+        """The sha256 of each trace at root 0, as [initial_psi, [[added u,
+        added v, removed u, removed v, gain] per move], final_psi] in JSON:
+        an ascent that prices or climbs differently must make byte-identical
+        moves. G(60, 0.1) seed 1 is disconnected, so seed 4 takes its place."""
+        g = named_graph(*graph) if isinstance(graph[0], str) else gnp_graph(*graph)
+        _, trace = monotone_spanning_tree(g, 0)
+        doc = [
+            trace.initial_psi,
+            [[*m.added, *m.removed, m.delta_psi] for m in trace.moves],
+            trace.final_psi,
+        ]
+        assert len(trace.moves) == moves
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
     def test_restart_reference_shares_no_pricing_with_the_ascent(self, monkeypatch):
         """Swapping the ascent's two valley gains changes its moves, and
         leaves the reference's alone: the reference's agreement with the
@@ -249,17 +328,21 @@ class TestMonotoneSpanningTree:
         graphs += [g for g in (gnp_graph(9, 0.4, seed) for seed in range(20)) if is_connected(g)]
         ascent = [monotone_spanning_tree(g)[1] for g in graphs]
         reference = [_monotone_spanning_tree_restart(g)[1] for g in graphs]
-        valley_gains = treesign.solver._valley_gains
-        monkeypatch.setattr(
-            treesign.solver, "_valley_gains", lambda *args: valley_gains(*args)[::-1]
-        )
+        climb = treesign.solver._valley_exchanges
+
+        def swapped_gains(*args):
+            top, up_a, up_b, left, right = climb(*args)
+            return top, up_a, up_b, right, left
+
+        monkeypatch.setattr(treesign.solver, "_valley_exchanges", swapped_gains)
         assert [_monotone_spanning_tree_restart(g)[1] for g in graphs] == reference
         changed = [monotone_spanning_tree(g)[1] != trace for g, trace in zip(graphs, ascent)]
         assert len(graphs) == 21 and changed.count(True) == 20
 
     def test_only_moving_pops_build_a_tree_path(self, monkeypatch):
         """A pop whose path is monotone is dropped by the ancestor walk
-        alone; only the pops that make a move build their tree path."""
+        alone; only the pops that make a move climb to the valley, which
+        builds the path's two branches."""
         cases = [
             (g, root)
             for n in range(1, 6)
@@ -270,12 +353,14 @@ class TestMonotoneSpanningTree:
         traces = [monotone_spanning_tree(g, root)[1] for g, root in cases]
         calls = 0
 
-        def counted_tree_path(*args):
+        climb = treesign.solver._valley_exchanges
+
+        def counted_climb(*args):
             nonlocal calls
             calls += 1
-            return tree_path(*args)
+            return climb(*args)
 
-        monkeypatch.setattr(treesign.solver, "tree_path", counted_tree_path)
+        monkeypatch.setattr(treesign.solver, "_valley_exchanges", counted_climb)
         for (g, root), trace in zip(cases, traces):
             calls = 0
             assert monotone_spanning_tree(g, root)[1] == trace
@@ -486,14 +571,13 @@ class TestVerifyAlternating:
         instances.append((h, solve(h).tree))
 
         calls = []
-        for name in ("fundamental_path", "tree_path"):
-            real = getattr(treesign.solver, name)
+        real = treesign.solver.fundamental_path
 
-            def counted(*args, real=real):
-                calls.append(args)
-                return real(*args)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-            monkeypatch.setattr(treesign.solver, name, counted)
+        monkeypatch.setattr(treesign.solver, "fundamental_path", counted)
         for h, t in instances:
             phi = assign_signs(t)
             assert verify_alternating(t, phi).ok

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from conftest import rooted_connected_graphs, rooted_spanning_trees, tree_edges
-from reference import apply_swap
+from reference import apply_swap, valley_index
 from treesign import (
     DisconnectedGraphError,
     SwapMove,
@@ -21,12 +21,7 @@ from treesign import (
     potential,
     tree_from_edges,
 )
-from treesign.trees import (
-    ancestor_related,
-    root_edges,
-    tree_path,
-    valley_index,
-)
+from treesign.trees import ancestor_related, root_edges, tree_path
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
