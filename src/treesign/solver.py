@@ -30,6 +30,7 @@ from .trees import (
     SwapMove,
     ancestor_related,
     bfs_tree,
+    climb,
     cotree_edges,
     fundamental_path,
     potential,
@@ -78,14 +79,12 @@ def falsification_instance(
 def _valley_exchanges(
     parent: Sequence[Vertex | None], depth: Sequence[int], size: Sequence[int], a: Vertex, b: Vertex
 ) -> tuple[Vertex, list[Vertex], list[Vertex], int, int]:
-    """One climb from both ends of a non-monotone tree path a ... top ... b
-    to the endpoints' lowest common ancestor ``top``, given parent, depth
-    and subtree-size maps: top, the branches below it as climbed, up_a =
-    path[:k] and up_b = path[:k:-1] with top at index k, and the gains of
-    removing (up_a[-1], top) and (top, up_b[-1]). A step that does not
-    lower the depth by exactly 1 raises AssertionError: the path's depths
-    are not valley-shaped. (No tree path has an interior local maximum:
-    both its path neighbors would have to be its parent.)
+    """The gains of the two valley exchanges of a non-monotone tree path
+    a ... top ... b, given parent, depth and subtree-size maps: top, the
+    branches below it as trees.climb builds them, up_a = path[:k] and up_b
+    = path[:k:-1] with top at index k, and the gains of removing
+    (up_a[-1], top) and (top, up_b[-1]). The climb raises the valley-shape
+    AssertionError on depths that do not step by exactly 1.
 
     Removing the edge above v_i on a's branch re-hangs subtree(v_i)
     through the cotree edge: a vertex whose lowest path ancestor is v_j
@@ -105,24 +104,11 @@ def _valley_exchanges(
     whenever that gain is at least 1; and when neither valley edge gains
     1, no edge does.
     """
-    up_a: list[Vertex] = []
-    up_b: list[Vertex] = []
-    x, y, dx, dy, xs, ys = a, b, depth[a], depth[b], up_a, up_b
-    while x != y:
-        if dx < dy:  # the deeper end climbs, so neither passes top
-            x, y, dx, dy, xs, ys = y, x, dy, dx, ys, xs
-        xs.append(x)
-        x = parent[x]  # type: ignore[assignment]
-        dx -= 1
-        if depth[x] != dx:
-            raise AssertionError(
-                f"tree path depths are not valley-shaped: climbing from {a} and {b}, "
-                f"vertex {x} has depth {depth[x]}, not {dx}"
-            )
+    top, up_a, up_b = climb(parent, depth, a, b)
     length = len(up_a) + len(up_b) + 1
     left = size[up_a[-1]] * length - 2 * sum(map(size.__getitem__, up_a))
     right = size[up_b[-1]] * length - 2 * sum(map(size.__getitem__, up_b))
-    return x, up_a, up_b, left, right
+    return top, up_a, up_b, left, right
 
 
 def _candidates(path: Sequence[Vertex], deltas: list[int]) -> list[tuple[Edge, int]]:
@@ -168,9 +154,10 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     anything, and the first violating pop is the lexicographically
     first violation. Initially every cotree edge is queued.
 
-    Pricing. A violating pop climbs once to the valley (_valley_exchanges),
-    building the two branches that the move re-hangs and re-sizes and
-    pricing both valley exchanges; only a failure dump builds the path.
+    Pricing. A violating pop climbs once to the valley (trees.climb),
+    building the two branches that the move re-hangs and re-sizes, and
+    _valley_exchanges prices both valley exchanges; only a failure dump
+    joins the path (fundamental_path).
 
     Re-queue. Let e's path be a ... top ... b. The exchange removes an
     edge (top, child) at the valley, so the
@@ -191,6 +178,10 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     component's new root, an ancestor of all of it), testing each against
     the chain position of its lowest chain ancestor and its new depth.
     Subtree sizes, which price the candidates, change only on the path.
+    One pass up the chain re-hangs, re-sizes and shifts chain vertex i
+    with its part of the component, then probes i's neighbours: a probe
+    reads only vertices placed at lower positions, and unplaced ones still
+    read low -1, so it pushes what a probe after the pass would.
     """
     t = bfs_tree(g, root)
     initial_psi = potential(t)
@@ -229,10 +220,10 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
             gain, chain, gaining = right, up_b, up_a
         if gain < 1:
             t = RootedTree(g, root, tuple(parent), tuple(depth))
-            path = (*up_a, top, *reversed(up_b))
             candidates = _candidates((up_a[-1], top, up_b[-1]), [left, right])
+            path = fundamental_path(t, e)
             raise NoImprovingSwapError(falsification_instance(t, e, path, candidates))
-        inner, child, outer = chain[0], chain[-1], gaining[0]
+        child, outer = chain[-1], gaining[0]
         moves.append(SwapMove(e, canonical_edge(top, child), gain))
 
         comp_size = size[child]
@@ -240,41 +231,34 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
             size[w] += comp_size
         base = depth[outer] + 1
         comp = []
-        below = -1
+        prev, prev_size = outer, 0
         for i, c in enumerate(chain):
+            # Re-hang c from prev; its subtree is the component minus prev's old one.
+            children[parent[c]].remove(c)  # chain[i + 1], or top for child
+            children[prev].append(c)
+            parent[c] = prev
+            prev_size, size[c] = size[c], comp_size - prev_size
             shift = base + i - depth[c]
             depth[c] += shift
             low[c] = i
             comp.append(c)
-            stack = [y for y in children[c] if y != below]
+            stack = children[c][:]  # now only c's children off the chain
             while stack:
                 x = stack.pop()
                 depth[x] += shift
                 low[x] = i
                 comp.append(x)
                 stack.extend(children[x])
-            below = c
-        children[top].remove(child)
-        children[outer].append(inner)
-        parent[inner] = outer
-        prev_size = size[inner]
-        size[inner] = comp_size
-        for i in range(1, len(chain)):
-            c, prev = chain[i], chain[i - 1]
-            children[c].remove(prev)
-            children[prev].append(c)
-            parent[c] = prev
-            prev_size, size[c] = size[c], comp_size - prev_size
-
-        for i in range(1, len(chain)):  # at i = 0 no x has 0 <= low[x] < i
-            c = chain[i]
+            prev = c
+            if not i:
+                continue  # no x has 0 <= low[x] < 0
             for x in adjacency[c]:
                 lx = low[x]
                 # x is in the component, c is not its ancestor, x is off the
                 # chain. No tree edge passes: c's parent chain[i-1] is on the
-                # chain at depth base + lx, outer has low -1, chain[i+1] has
-                # low i+1 and c's other children low i. (A tree edge popped
-                # anyway would read as monotone.)
+                # chain at depth base + lx, outer and chain[i+1] have low -1,
+                # and c's other children low i. (A tree edge popped anyway
+                # would read as monotone.)
                 if 0 <= lx < i and depth[x] != base + lx:
                     h = (c, x) if c < x else (x, c)
                     if h not in queued:

@@ -18,7 +18,9 @@ its fault.
 
 cotree_edges is the package's one split of graph edges into tree and
 cotree edges; _connected_search, shared by bfs_tree and the oracle's
-enumerator, its one search that refuses a disconnected graph.
+enumerator, its one search that refuses a disconnected graph; climb,
+shared by fundamental_path and the solver's ascent, its one walk that
+builds a tree path.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def tree_from_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree
     and no duplicate, and they are graph edges iff all but n - 1 edges of
     ``g`` are cotree edges. Only a rejected set is canonicalised and
     checked as a set, to name its first fault: a loop, a duplicate, an
-    edge outside the graph, the wrong count, or a set that does not span.
+    edge outside the graph, the wrong count, an out-of-range root, or a
+    set that does not span.
     """
     pairs = list(edges)
     n = g.n
@@ -135,10 +138,10 @@ def tree_from_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree
         raise ValueError(f"edge {missing} is not an edge of the graph")
     if len(edge_set) != g.n - 1:
         raise ValueError(f"a spanning tree of n={g.n} needs {g.n - 1} edges, got {len(edge_set)}")
-    t = root_edges(g, edge_set, root)
-    if t is None:
-        raise ValueError("edges do not span the graph")
-    return t
+    # The fast path took every spanning set of n - 1 distinct graph edges.
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range for n={n}")
+    raise ValueError("edges do not span the graph")
 
 
 def root_edges(g: Graph, edges: Iterable[Edge], root: Vertex) -> RootedTree | None:
@@ -228,31 +231,39 @@ def fundamental_path(t: RootedTree, e: Edge) -> tuple[Vertex, ...]:
     """
     e = canonical_edge(*e)
     _require_cotree_edge(t, e)
-    return tuple(tree_path(t.parent, t.depth, *e))
+    top, up_a, up_b = climb(t.parent, t.depth, *e)
+    return (*up_a, top, *reversed(up_b))
 
 
-def tree_path(
+def climb(
     parent: Sequence[Vertex | None], depth: Sequence[int], a: Vertex, b: Vertex
-) -> list[Vertex]:
-    """Vertices of the tree path from ``a`` to ``b``, given parent and depth
-    maps of a rooted tree; walks up from both ends to their common ancestor."""
-    up_a = [a]
-    up_b = [b]
-    x, y = a, b
-    while depth[x] > depth[y]:
-        x = parent[x]  # type: ignore[assignment]
-        up_a.append(x)
-    while depth[y] > depth[x]:
-        y = parent[y]  # type: ignore[assignment]
-        up_b.append(y)
+) -> tuple[Vertex, list[Vertex], list[Vertex]]:
+    """One climb from both ends of the tree path a ... top ... b to the
+    endpoints' lowest common ancestor ``top``, given parent and depth maps
+    of a rooted tree: top and the branches below it as climbed, up_a =
+    path[:k] and up_b = path[:k:-1] with top at index k (one is empty on a
+    monotone path). The package's one walk that builds a tree path:
+    fundamental_path joins the branches, the ascent prices and re-hangs
+    them. A step that does not lower the depth by exactly 1 raises
+    AssertionError: the path's depths are not valley-shaped. (No tree path
+    has an interior local maximum: both its path neighbors would have to
+    be its parent.)
+    """
+    up_a: list[Vertex] = []
+    up_b: list[Vertex] = []
+    x, y, dx, dy, xs, ys = a, b, depth[a], depth[b], up_a, up_b
     while x != y:
+        if dx < dy:  # the deeper end climbs, so neither passes top
+            x, y, dx, dy, xs, ys = y, x, dy, dx, ys, xs
+        xs.append(x)
         x = parent[x]  # type: ignore[assignment]
-        y = parent[y]  # type: ignore[assignment]
-        up_a.append(x)
-        up_b.append(y)
-    up_b.pop()  # both branches end at the common ancestor; keep one copy
-    up_a.extend(reversed(up_b))
-    return up_a
+        dx -= 1
+        if depth[x] != dx:
+            raise AssertionError(
+                f"tree path depths are not valley-shaped: climbing from {a} and {b}, "
+                f"vertex {x} has depth {depth[x]}, not {dx}"
+            )
+    return x, up_a, up_b
 
 
 @dataclass(frozen=True)

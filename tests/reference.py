@@ -1,15 +1,16 @@
 """Reference implementations that the tests compare the package against.
 
 The package's ascent fixes one cotree edge at a time on a tree it updates
-in place and prices only the two valley exchanges, in closed form, in the
-climb that finds the valley (solver._valley_exchanges). The references
-share none of that pricing or selection: they re-root every candidate
-exchange afresh (trees._swapped, through delta_potential), take their own
-argmax, and rescan from the first cotree edge after every move, on
-immutable trees, and they locate a path's valley by its length and end
-depths (valley_index). They share only the monotonicity test
-(trees.ancestor_related) and the failure dump. They are quadratically
-slower, and nothing outside the tests runs them.
+in place and prices only the two valley exchanges, in closed form, from
+the branches of the climb that finds the valley (trees.climb, in
+solver._valley_exchanges). The references share none of that pricing or
+selection: they re-root every candidate exchange afresh (trees._swapped,
+through delta_potential), take their own argmax, and rescan from the
+first cotree edge after every move, on immutable trees, and they locate a
+path's valley by its length and end depths (valley_index). They share the
+monotonicity test (trees.ancestor_related), the climb, through
+fundamental_path, which builds their paths, and the failure dump. They
+are quadratically slower, and nothing outside the tests runs them.
 """
 
 from treesign import (

@@ -352,6 +352,10 @@ class TestSolve:
         path = write(tmp_path, "bad.edges", "3\nzero one\n")
         assert main(["solve", path]) == 2
         assert "error:" in capsys.readouterr().err
+        # argparse lets only the known formats through; the reader refuses
+        # any other itself.
+        with pytest.raises(ParseError, match="^unknown format 'xml'$"):
+            cli.read_graph(path, "xml")
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.edges")]) == 2

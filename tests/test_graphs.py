@@ -43,6 +43,8 @@ def test_graph_validates_edges():
         Graph(3, ((0, 1), (0, 1)))
     with pytest.raises(ValueError):
         Graph(3, ((0, 2), (0, 1)))
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        Graph(-1, ())
 
 
 def test_make_graph_normalizes():

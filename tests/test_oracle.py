@@ -409,7 +409,7 @@ class TestNonMonotoneList:
                 for root in range(n):
                     expected = []
                     for t in enumerate_spanning_trees(g, root):
-                        paths = [trees.tree_path(t.parent, t.depth, u, v) for u, v in cotree_edges(t)]
+                        paths = [fundamental_path(t, e) for e in cotree_edges(t)]
                         if any(0 < valley_index(t.depth, p) < len(p) - 1 for p in paths):
                             edges = tree_edges(t)
                             expected.append(sum(bit for e, bit in edge_bits if e in edges))

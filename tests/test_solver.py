@@ -16,6 +16,7 @@ from reference import (
 from treesign import (
     DisconnectedGraphError,
     NoImprovingSwapError,
+    RootedTree,
     SwapMove,
     assign_signs,
     bfs_tree,
@@ -206,9 +207,10 @@ class TestValleyClimb:
         """A depth one off at any interior vertex of a non-monotone path,
         or one too deep at an endpoint, breaks the climb's step-by-1 rule
         and raises the valley-shape AssertionError, on every such path of
-        every spanning tree of every connected graph with n <= 5 at root 0.
-        (An endpoint made shallower can instead send the other end's climb
-        past the root.)"""
+        every spanning tree of every connected graph with n <= 5 at root 0,
+        both in the ascent's pricing and in fundamental_path, which share
+        the climb. (An endpoint made shallower can instead send the other
+        end's climb past the root.)"""
         refused = 0
         for n in range(3, 6):
             for g in enumerate_connected_graphs(n):
@@ -223,8 +225,20 @@ class TestValleyClimb:
                                 depth[v] += shift
                                 with pytest.raises(AssertionError, match=VALLEY_SHAPE):
                                     _valley_exchanges(t.parent, depth, [1] * n, *e)
+                                corrupt = RootedTree(g, 0, t.parent, tuple(depth))
+                                with pytest.raises(AssertionError, match=VALLEY_SHAPE):
+                                    fundamental_path(corrupt, e)
                                 refused += 1
         assert refused == 51_796
+        # A monotone path from the root is refused too, whichever depth is off.
+        g = named_graph("cycle", (6,))
+        t = tree_from_edges(g, [(v, v + 1) for v in range(5)], 0)
+        for v in range(6):
+            for shift in (-1, 1):
+                depth = list(t.depth)
+                depth[v] += shift
+                with pytest.raises(AssertionError, match=VALLEY_SHAPE):
+                    fundamental_path(RootedTree(g, 0, t.parent, tuple(depth)), (0, 5))
 
 
 class TestMonotoneSpanningTree:

@@ -21,7 +21,7 @@ from treesign import (
     potential,
     tree_from_edges,
 )
-from treesign.trees import ancestor_related, root_edges, tree_path
+from treesign.trees import ancestor_related, climb, root_edges
 
 K3 = named_graph("complete", (3,))
 K4 = named_graph("complete", (4,))
@@ -255,7 +255,7 @@ class TestMonotoneReport:
                     for t in enumerate_spanning_trees(g, root):
                         parent, depth = t.parent, t.depth
                         for a, b in cotree_edges(t):
-                            p = tree_path(parent, depth, a, b)
+                            p = fundamental_path(t, (a, b))
                             monotone = not 0 < valley_index(depth, p) < len(p) - 1
                             assert ancestor_related(parent, depth, a, b) == monotone
                             assert ancestor_related(parent, depth, b, a) == monotone
@@ -290,7 +290,8 @@ class TestSwaps:
                 path = fundamental_path(t, e)
                 for a, b in zip(path, path[1:]):
                     child = a if t.parent[a] == b else b
-                    deep = {v for v in range(K4.n) if child in tree_path(t.parent, t.depth, v, 0)}
+                    # v is below child iff v's climb to the root passes it
+                    deep = {v for v in range(K4.n) if child in climb(t.parent, t.depth, v, 0)[1]}
                     rehung = _rehung(t, e, (a, b))
                     assert child in rehung and rehung <= deep
                     exchanges += 1
