@@ -179,9 +179,12 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     the chain position of its lowest chain ancestor and its new depth.
     Subtree sizes, which price the candidates, change only on the path.
     One pass up the chain re-hangs, re-sizes and shifts chain vertex i
-    with its part of the component, then probes i's neighbours: a probe
-    reads only vertices placed at lower positions, and unplaced ones still
-    read low -1, so it pushes what a probe after the pass would.
+    with its part of the component, in one walk that also stamps each of
+    its vertices low = stamp + i, then probes i's neighbours. ``stamp``
+    counts the chain vertices of earlier moves, so a vertex not placed in
+    this move holds -1 or an earlier move's stamp, both below ``stamp``,
+    and needs no reset: a probe reads only vertices placed at lower
+    positions, so it pushes what a probe after the pass would.
     """
     t = bfs_tree(g, root)
     initial_psi = potential(t)
@@ -203,7 +206,8 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     # cotree_edges is sorted, so its list is already a heap.
     heap = list(cotree_edges(t))
     queued = set(heap)
-    low = [-1] * n  # chain position of a component vertex's lowest chain ancestor
+    low = [-1] * n  # stamp plus chain position of a component vertex's lowest chain ancestor
+    stamp = 0  # chain vertices placed by earlier moves
     moves: list[SwapMove] = []
     while heap:
         e = heappop(heap)
@@ -229,43 +233,36 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
         comp_size = size[child]
         for w in gaining:
             size[w] += comp_size
-        base = depth[outer] + 1
-        comp = []
+        base = depth[outer] + 1 - stamp
         prev, prev_size = outer, 0
-        for i, c in enumerate(chain):
+        for i, c in enumerate(chain, stamp):
             # Re-hang c from prev; its subtree is the component minus prev's old one.
-            children[parent[c]].remove(c)  # chain[i + 1], or top for child
+            children[parent[c]].remove(c)  # the next chain vertex, or top for child
             children[prev].append(c)
             parent[c] = prev
             prev_size, size[c] = size[c], comp_size - prev_size
             shift = base + i - depth[c]
-            depth[c] += shift
-            low[c] = i
-            comp.append(c)
-            stack = children[c][:]  # now only c's children off the chain
-            while stack:
-                x = stack.pop()
+            part = [c]  # c, then its children off the chain and their subtrees
+            for x in part:
                 depth[x] += shift
                 low[x] = i
-                comp.append(x)
-                stack.extend(children[x])
+                part.extend(children[x])
             prev = c
-            if not i:
-                continue  # no x has 0 <= low[x] < 0
+            if i == stamp:
+                continue  # no x has stamp <= low[x] < stamp
             for x in adjacency[c]:
                 lx = low[x]
                 # x is in the component, c is not its ancestor, x is off the
-                # chain. No tree edge passes: c's parent chain[i-1] is on the
-                # chain at depth base + lx, outer and chain[i+1] have low -1,
-                # and c's other children low i. (A tree edge popped anyway
-                # would read as monotone.)
-                if 0 <= lx < i and depth[x] != base + lx:
+                # chain. No tree edge passes: c's parent prev is on the chain
+                # at depth base + lx, outer and the next chain vertex hold a
+                # stamp below this move's, and c's other children low i. (A
+                # tree edge popped anyway would read as monotone.)
+                if stamp <= lx < i and depth[x] != base + lx:
                     h = (c, x) if c < x else (x, c)
                     if h not in queued:
                         queued.add(h)
                         heappush(heap, h)
-        for x in comp:
-            low[x] = -1
+        stamp += len(chain)
     t = RootedTree(g, root, tuple(parent), tuple(depth))
     return t, SolveTrace(initial_psi, tuple(moves), potential(t))
 

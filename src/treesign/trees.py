@@ -244,10 +244,10 @@ def climb(
     path[:k] and up_b = path[:k:-1] with top at index k (one is empty on a
     monotone path). The package's one walk that builds a tree path:
     fundamental_path joins the branches, the ascent prices and re-hangs
-    them. A step that does not lower the depth by exactly 1 raises
-    AssertionError: the path's depths are not valley-shaped. (No tree path
-    has an interior local maximum: both its path neighbors would have to
-    be its parent.)
+    them. A step that does not lower the depth by exactly 1, or that
+    climbs past the root, raises AssertionError: the path's depths are not
+    valley-shaped. (No tree path has an interior local maximum: both its
+    path neighbors would have to be its parent.)
     """
     up_a: list[Vertex] = []
     up_b: list[Vertex] = []
@@ -258,10 +258,10 @@ def climb(
         xs.append(x)
         x = parent[x]  # type: ignore[assignment]
         dx -= 1
-        if depth[x] != dx:
+        if x is None or depth[x] != dx:
             raise AssertionError(
                 f"tree path depths are not valley-shaped: climbing from {a} and {b}, "
-                f"vertex {x} has depth {depth[x]}, not {dx}"
+                + ("passed the root" if x is None else f"vertex {x} has depth {depth[x]}, not {dx}")
             )
     return x, up_a, up_b
 

@@ -296,14 +296,20 @@ class TestSolve:
         path = write(tmp_path, "k3.edges", K3_TEXT)
         assert main(["solve", path]) == 0
         assert report_of(capsys) == K3_REPORT
-        # a repeated edge, reversed, is merged with a note and changes nothing
-        path = write(tmp_path, "k3dup.edges", K3_TEXT + "1 0\n")
-        assert main(["solve", path]) == 0
-        out, err = capsys.readouterr()
-        assert err == "note: merged 1 duplicate edge(s)\n"
-        doc = json.loads(out)
-        doc.pop("timing_ms")
-        assert doc == K3_REPORT
+        # A repeated edge, reversed, is merged, a loop is dropped and a wrong
+        # DIMACS edge count is read past, each with a note, and none of them
+        # changes the report.
+        for name, text, fmt, note in [
+            ("k3dup.edges", K3_TEXT + "1 0\n", "edgelist", "merged 1 duplicate edge(s)"),
+            ("k3loop.edges", K3_TEXT + "2 2\n", "edgelist", "dropped 1 loop edge(s)"),
+            ("k3.col", "p edge 3 4\ne 1 2\ne 1 3\ne 2 3\n", "dimacs", "header declares 4 edges, found 3"),
+        ]:
+            assert main(["solve", write(tmp_path, name, text), "--format", fmt]) == 0
+            out, err = capsys.readouterr()
+            assert err == f"note: {note}\n"
+            doc = json.loads(out)
+            doc.pop("timing_ms")
+            assert doc == K3_REPORT
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(K3_TEXT))

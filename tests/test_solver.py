@@ -204,13 +204,13 @@ class TestValleyClimb:
         assert _valley_exchanges(t.parent, t.depth, [3, 1, 1], 2, 1) == (0, [2], [1], 1, 1)
 
     def test_one_corrupt_depth_on_the_path_is_refused(self):
-        """A depth one off at any interior vertex of a non-monotone path,
-        or one too deep at an endpoint, breaks the climb's step-by-1 rule
-        and raises the valley-shape AssertionError, on every such path of
-        every spanning tree of every connected graph with n <= 5 at root 0,
-        both in the ascent's pricing and in fundamental_path, which share
-        the climb. (An endpoint made shallower can instead send the other
-        end's climb past the root.)"""
+        """A depth one off at any vertex of a non-monotone path breaks the
+        climb's step-by-1 rule and raises the valley-shape AssertionError,
+        on every such path of every spanning tree of every connected graph
+        with n <= 5 at root 0, both in the ascent's pricing and in
+        fundamental_path, which share the climb. An endpoint made shallower
+        can send the other end's climb past the root, which is refused the
+        same way."""
         refused = 0
         for n in range(3, 6):
             for g in enumerate_connected_graphs(n):
@@ -219,8 +219,8 @@ class TestValleyClimb:
                         if ancestor_related(t.parent, t.depth, *e):
                             continue
                         path = fundamental_path(t, e)
-                        for i, v in enumerate(path):
-                            for shift in (1,) if i in (0, len(path) - 1) else (-1, 1):
+                        for v in path:
+                            for shift in (-1, 1):
                                 depth = list(t.depth)
                                 depth[v] += shift
                                 with pytest.raises(AssertionError, match=VALLEY_SHAPE):
@@ -229,7 +229,7 @@ class TestValleyClimb:
                                 with pytest.raises(AssertionError, match=VALLEY_SHAPE):
                                     fundamental_path(corrupt, e)
                                 refused += 1
-        assert refused == 51_796
+        assert refused == 71_526
         # A monotone path from the root is refused too, whichever depth is off.
         g = named_graph("cycle", (6,))
         t = tree_from_edges(g, [(v, v + 1) for v in range(5)], 0)
@@ -300,27 +300,39 @@ class TestMonotoneSpanningTree:
         assert len(trace.moves) == moves
 
     @pytest.mark.parametrize(
-        "graph, moves, digest",
+        "graph, moves, pushes, digest",
         [
-            (("complete", (40,)), 380, "05a3ad8376239fc32e86bfe2a74e55d5962deaaafd5d627ae477640bae6b13a6"),
-            (("grid", (12, 9)), 44, "cd3598cf98e78ce84b0307319e836c5f3452dfe17af3e05773231eb67c14e52f"),
-            (("hypercube", (6,)), 83, "f96d59f372a8df46dbf5539a7b95fdfa3ab97ad871d4b6ba138ef6efeb8b80b1"),
-            ((60, 0.1, 2), 44, "fdd109a62e9657cc50b8fc92e8d678f3157eb97425010269585846f5cadcb5cf"),
-            ((60, 0.1, 3), 50, "20c50866f9c77e538b350ece5aa8fc7a469bd95721b1a7f8030777ab2d6d8b09"),
-            ((60, 0.1, 4), 48, "ca82909b79f4fddf850517795f9fc76feb2b03f23a6c93f32396e5d0e44a4a1b"),
-            ((60, 0.3, 1), 148, "95b7a48f03f61d617e4fc81fb2f94845de363a9cdceb7bf4b712eddd84fda84a"),
-            ((60, 0.3, 2), 131, "72eb2b23332da0f59eda0fdba93a5a072815e667912918485aeb50d504ab7d97"),
-            ((60, 0.3, 3), 156, "ded2da7692029cac5e0255816b86fd9cb4515b69896c9b03717b8d8c2516530c"),
+            (("complete", (40,)), 380, 0, "05a3ad8376239fc32e86bfe2a74e55d5962deaaafd5d627ae477640bae6b13a6"),
+            (("grid", (12, 9)), 44, 0, "cd3598cf98e78ce84b0307319e836c5f3452dfe17af3e05773231eb67c14e52f"),
+            (("hypercube", (6,)), 83, 43, "f96d59f372a8df46dbf5539a7b95fdfa3ab97ad871d4b6ba138ef6efeb8b80b1"),
+            ((60, 0.1, 2), 44, 7, "fdd109a62e9657cc50b8fc92e8d678f3157eb97425010269585846f5cadcb5cf"),
+            ((60, 0.1, 3), 50, 7, "20c50866f9c77e538b350ece5aa8fc7a469bd95721b1a7f8030777ab2d6d8b09"),
+            ((60, 0.1, 4), 48, 8, "ca82909b79f4fddf850517795f9fc76feb2b03f23a6c93f32396e5d0e44a4a1b"),
+            ((60, 0.3, 1), 148, 11, "95b7a48f03f61d617e4fc81fb2f94845de363a9cdceb7bf4b712eddd84fda84a"),
+            ((60, 0.3, 2), 131, 37, "72eb2b23332da0f59eda0fdba93a5a072815e667912918485aeb50d504ab7d97"),
+            ((60, 0.3, 3), 156, 58, "ded2da7692029cac5e0255816b86fd9cb4515b69896c9b03717b8d8c2516530c"),
         ],
         ids=["K40", "grid12x9", "hypercube6", "gnp60-0.1-2", "gnp60-0.1-3", "gnp60-0.1-4",
              "gnp60-0.3-1", "gnp60-0.3-2", "gnp60-0.3-3"],
     )
-    def test_move_traces_are_pinned(self, graph, moves, digest):
+    def test_move_traces_are_pinned(self, graph, moves, pushes, digest, monkeypatch):
         """The sha256 of each trace at root 0, as [initial_psi, [[added u,
         added v, removed u, removed v, gain] per move], final_psi] in JSON:
         an ascent that prices or climbs differently must make byte-identical
-        moves. G(60, 0.1) seed 1 is disconnected, so seed 4 takes its place."""
+        moves. The heap pushes after the first heap are pinned too, so a
+        re-queue that probes more edges than it must is caught even when
+        its extra pops heal. G(60, 0.1) seed 1 is disconnected, so seed 4
+        takes its place."""
         g = named_graph(*graph) if isinstance(graph[0], str) else gnp_graph(*graph)
+        calls = 0
+        push = treesign.solver.heappush
+
+        def counted_push(heap, item):
+            nonlocal calls
+            calls += 1
+            push(heap, item)
+
+        monkeypatch.setattr(treesign.solver, "heappush", counted_push)
         _, trace = monotone_spanning_tree(g, 0)
         doc = [
             trace.initial_psi,
@@ -328,6 +340,7 @@ class TestMonotoneSpanningTree:
             trace.final_psi,
         ]
         assert len(trace.moves) == moves
+        assert calls == pushes
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
     def test_restart_reference_shares_no_pricing_with_the_ascent(self, monkeypatch):
