@@ -208,9 +208,10 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
     Everything recomputable (depths) is recomputed; contract violations
     (values of the wrong JSON type, tree edges outside the graph, malformed
     keys, unknown signs, labels that miss a tree edge or name another edge)
-    raise ParseError, unless a tree is refused on a disconnected graph,
-    which has none: that raises DisconnectedGraphError. JSON booleans are
-    not integers here, although Python treats them as such.
+    raise ParseError, unless a tree or an integer root is refused on a
+    disconnected graph, which has no spanning tree: that raises
+    DisconnectedGraphError. JSON booleans are not integers here, although
+    Python treats them as such.
     """
     if not isinstance(doc, dict):
         raise ParseError("solution document must be a JSON object")
@@ -228,6 +229,8 @@ def load_solution_document(g: Graph, doc: dict) -> tuple[RootedTree, SignLabelin
         raise ParseError("input must be a JSON object")
     root = inputs.get("root", 0)
     if type(root) is not int or not 0 <= root < g.n:
+        if type(root) is int:
+            require_connected(g)  # a disconnected graph exits 3 whatever the root
         raise ParseError(f"root {root!r} out of range")
     edges = []
     for row in edge_rows:

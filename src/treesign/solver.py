@@ -193,16 +193,12 @@ def monotone_spanning_tree(g: Graph, root: Vertex = 0) -> tuple[RootedTree, Solv
     parent = list(t.parent)
     depth = list(t.depth)
     children: list[list[Vertex]] = [[] for _ in range(n)]
-    for v, p in enumerate(parent):
+    size = array("l", [1]) * n
+    for v in sorted(range(n), key=depth.__getitem__, reverse=True):  # children first
+        p = parent[v]
         if p is not None:
             children[p].append(v)
-    order = [root]
-    for v in order:
-        order.extend(children[v])
-    size = array("l", [1]) * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    del order
+            size[p] += size[v]
     # cotree_edges is sorted, so its list is already a heap.
     heap = list(cotree_edges(t))
     queued = set(heap)
@@ -321,8 +317,10 @@ def verify_alternating(t: RootedTree, phi: SignLabeling) -> VerificationReport:
     flipped depth(b) - depth(l) - 1 times: they differ iff phi[a] and
     phi[b] are equal exactly when depth(a) + depth(b) is odd, and l is
     never needed.
-    Ancestry is a preorder interval test. Only failing edges have their
-    path walked, to name the first pair of equal signs.
+    Ancestry is a preorder interval test. The numbers are handed out in
+    depth order, parents first, each subtree taking the block after its
+    root's number. Only failing edges have their path walked, to name the
+    first pair of equal signs.
     """
     parent, depth, root = t.parent, t.depth, t.root
     n = len(parent)
@@ -339,32 +337,19 @@ def verify_alternating(t: RootedTree, phi: SignLabeling) -> VerificationReport:
     if not cotree:
         return VerificationReport(ok=True)
 
-    first = [-1] * n  # first-child / next-sibling lists
-    sibling = [-1] * n
-    for v, p in enumerate(parent):
-        if p is not None:
-            sibling[v] = first[p]
-            first[p] = v
+    order = sorted(range(n), key=depth.__getitem__)  # the root, then each vertex after its parent
+    end = [1] * n  # subtree size, then the next free number in the subtree, finally one past its last
+    for v in reversed(order[1:]):
+        end[parent[v]] += end[v]
+    end[root] = 1  # the root takes number 0
     tin = [0] * n
     top = [root] * n
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        tin[v] = len(order)
-        order.append(v)
-        sv, tv = phi[v], top[v]
-        c = first[v]
-        while c >= 0:
-            top[c] = tv if phi[c] != sv else v  # at the root, sv is None
-            stack.append(c)
-            c = sibling[c]
-    end = [1] * n  # subtree size, then one past the subtree's last preorder number
-    for v in reversed(order):
+    for v in order[1:]:
         p = parent[v]
-        if p is not None:
-            end[p] += end[v]
-        end[v] += tin[v]
+        tin[v] = i = end[p]
+        end[p] = i + end[v]  # v's subtree takes the next size(v) numbers
+        end[v] = i + 1
+        top[v] = top[p] if phi[v] != phi[p] else p  # at the root, phi[p] is None
 
     violations: list[Violation] = []
     for e in cotree:

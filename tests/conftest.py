@@ -37,14 +37,26 @@ def rooted_spanning_trees(draw, min_n: int = 2, max_n: int = 9):
     """A spanning tree of a random connected graph, at a random root: the
     forest that Kruskal's scan keeps from a random order of the edges."""
     graph, root = draw(rooted_connected_graphs(min_n, max_n))
-    comp = list(range(graph.n))
+    return tree_from_edges(graph, kruskal(graph.n, draw(st.permutations(graph.edges))), root)
+
+
+def kruskal(n, edges):
+    """The forest that Kruskal's scan keeps from ``edges`` in the given
+    order: each edge that joins two components."""
+    comp = list(range(n))
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = x = comp[comp[x]]
+        return x
+
     kept = []
-    for u, v in draw(st.permutations(graph.edges)):
-        cu, cv = comp[u], comp[v]
-        if cu != cv:
-            comp = [cv if c == cu else c for c in comp]
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            comp[ru] = rv
             kept.append((u, v))
-    return tree_from_edges(graph, kept, root)
+    return kept
 
 
 def child(t, e):

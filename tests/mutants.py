@@ -25,6 +25,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PINNED = "tests/test_solver.py::TestMonotoneSpanningTree::test_move_traces_are_pinned"
 CORRUPT = "tests/test_solver.py::TestValleyClimb::test_one_corrupt_depth_on_the_path_is_refused"
+NO_WALK = "tests/test_solver.py::TestVerifyAlternating::test_passing_edges_walk_no_path"
+EXIT_3 = [
+    "tests/test_cli.py::TestVerify::test_disconnected_graph_exits_3",
+    "tests/test_cli.py::TestSolve::test_disconnected_exits_3_whatever_the_root",
+]
 
 # (file, snippet, replacement, test ids that must fail)
 MUTANTS = [
@@ -52,7 +57,65 @@ MUTANTS = [
         "pairs.extend(zip(indices, indices))",
         ["tests/test_graphs.py::TestParsersAgainstReferences::test_plain_edge_list_is_read_in_blocks"],
     ),
+    # The block reader accepts the index n, one past the last vertex.
+    (
+        "src/treesign/graphs.py",
+        "if max(indices) >= n:",
+        "if max(indices) > n:",
+        [
+            "tests/test_graphs.py::TestParsersAgainstReferences::test_plain_edge_list_in_several_blocks",
+            "tests/test_graphs.py::TestEdgeListFormat::test_rejects_bad_lines",
+        ],
+    ),
+    # The ascent's initial subtree sizes stay 1, so the valley gains are mispriced.
+    ("src/treesign/solver.py", "            size[p] += size[v]\n", "", [PINNED]),
+    # The verifier numbers every subtree as one vertex, so the intervals
+    # overlap and ancestry answers are wrong.
+    (
+        "src/treesign/solver.py",
+        "end[p] = i + end[v]",
+        "end[p] = i + 1",
+        ["tests/test_solver.py::TestVerifyAlternating::test_matches_walking_verifier_mid_size"],
+    ),
+    # Every alternating run stops after one edge: passing edges get walked.
+    ("src/treesign/solver.py", "top[v] = top[p] if phi[v] != phi[p] else p", "top[v] = p", [NO_WALK]),
+    # A run that reaches exactly the ancestor endpoint counts as failing.
+    ("src/treesign/solver.py", "if depth[top[b]] <= depth[a]:", "if depth[top[b]] < depth[a]:", [NO_WALK]),
+    # The edge-mask bits run backwards, so the tie-break among maximisers flips.
+    (
+        "src/treesign/oracle.py",
+        "1 << (g.m - 1 - i)",
+        "1 << i",
+        ["tests/test_oracle.py::TestMaxPotentialTree::test_triangle"],
+    ),
+    # The enumerator may yield more trees than Kirchhoff counts.
+    (
+        "src/treesign/oracle.py",
+        "return self.tree_count == self.kirchhoff_count",
+        "return self.tree_count >= self.kirchhoff_count",
+        ["tests/test_oracle.py::TestFailuresTheTableMustNotHide::test_a_tree_yielded_twice_breaks_the_count"],
+    ),
+    # A zero Kirchhoff count is returned instead of refusing the graph.
+    (
+        "src/treesign/oracle.py",
+        "    if count == 0:\n",
+        "    if False:\n",
+        ["tests/test_oracle.py::TestCounting::test_disconnected_message_is_require_connected"],
+    ),
+    # main leaves the cyclic collector off for its caller.
+    (
+        "src/treesign/cli.py",
+        "            gc.enable()",
+        "            pass",
+        ["tests/test_cli.py::TestCollectorPause::test_the_caller_state_is_restored_after_an_escaping_error"],
+    ),
+    # A disconnected graph exits 2, not its documented 3.
+    ("src/treesign/cli.py", "        return EXIT_DISCONNECTED", "        return EXIT_BAD_INPUT", EXIT_3),
 ]
+# Not listed, because it is equivalent: the verifier's "end[v] = i + 1" ->
+# "end[v] = i" gives v the number of its first child, which only makes v
+# look like a descendant of that child, and the verifier never tests a
+# vertex against a top that it is an ancestor of.
 
 
 def pytest_exit(copy: Path, ids: list[str]) -> int:

@@ -575,8 +575,9 @@ class TestVerify:
 
     def test_disconnected_graph_exits_3(self, tmp_path, capsys):
         # A report whose tree cannot fit is refused for the graph's sake
-        # when the graph is disconnected (exit 3, as solve and oracle do),
-        # and for the tree's otherwise (exit 2).
+        # when the graph is disconnected (exit 3, as solve and oracle do,
+        # whatever the report's root, even one out of range), and for the
+        # tree's otherwise (exit 2).
         report = {"tree": {"edges": [[0, 1], [1, 2]]}, "signs": {"0-1": "-", "1-2": "+"}}
         solution = write(tmp_path, "path.json", json.dumps(report))
         split, _ = make_graph(5, [(0, 1), (1, 2), (3, 4)])
@@ -585,6 +586,10 @@ class TestVerify:
         graph = write(tmp_path, "split.edges", emit_edge_list(split))
         assert main(["verify", graph, solution]) == 3
         assert capsys.readouterr().err == f"error: {expected.value}\n"
+        for root in (0, 4, 9):
+            rooted = write(tmp_path, f"root{root}.json", json.dumps({**report, "input": {"root": root}}))
+            assert main(["verify", graph, rooted]) == 3, root
+            assert capsys.readouterr().err == f"error: {expected.value}\n", root
         graph = write(tmp_path, "p5.edges", emit_edge_list(named_graph("path", (5,))))
         assert main(["verify", graph, solution]) == 2
         assert capsys.readouterr().err == (

@@ -1,12 +1,13 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import child, flipped, rooted_connected_graphs, tree_edges
+from conftest import child, flipped, kruskal, rooted_connected_graphs, tree_edges
 from reference import (
     _monotone_spanning_tree_restart,
     find_improving_swap,
@@ -554,19 +555,7 @@ class TestVerifyAlternating:
     def test_matches_walking_verifier_on_random_trees(self, case, data):
         g, root = case
         # Kruskal over a random edge order gives a random spanning tree.
-        comp = list(range(g.n))
-
-        def find(x):
-            while comp[x] != x:
-                x = comp[x]
-            return x
-
-        edges = []
-        for u, v in data.draw(st.permutations(g.edges)):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                comp[ru] = rv
-                edges.append((u, v))
+        edges = kruskal(g.n, data.draw(st.permutations(g.edges)))
         t = tree_from_edges(g, edges, root)
         kind = data.draw(st.sampled_from(["random", "parity", "parity with one flip"]))
         if kind == "random":
@@ -578,6 +567,36 @@ class TestVerifyAlternating:
                 e = data.draw(st.sampled_from(t.sorted_edges()))
                 phi = flipped(phi, child(t, e))
         assert_matches_walking_verifier(t, phi)
+
+    def test_matches_walking_verifier_mid_size(self):
+        # Trees whose depth order interleaves many subtrees and whose depth
+        # reaches hundreds: seeded Kruskal trees of grid(30, 30) at three
+        # roots, and the depth-first tree from a corner, which snakes.
+        g = named_graph("grid", (30, 30))
+        rng = random.Random(27)
+        edges = kruskal(g.n, rng.sample(g.edges, len(g.edges)))
+        trees = [tree_from_edges(g, edges, root) for root in (0, 435, 899)]
+        seen, dfs, stack = {0}, [], [(0, iter(g.adjacency[0]))]
+        while stack:
+            v, rest = stack[-1]
+            w = next((w for w in rest if w not in seen), None)
+            if w is None:
+                stack.pop()
+            else:
+                seen.add(w)
+                dfs.append((v, w))
+                stack.append((w, iter(g.adjacency[w])))
+        trees.append(tree_from_edges(g, dfs, 0))
+        assert max(trees[-1].depth) >= 300
+        verdicts = []
+        for t in trees:
+            parity = assign_signs(t)
+            flip = flipped(parity, rng.choice([v for v in range(g.n) if v != t.root]))
+            signs = [rng.choice("+-") for _ in range(g.n - 1)]
+            for phi in (parity, flip, labeling(t, signs)):
+                verdicts.append(assert_matches_walking_verifier(t, phi).ok)
+        # Only the depth-first tree is normal, so only its parity labeling passes.
+        assert verdicts == [False] * 9 + [True, False, False]
 
     def test_passing_edges_walk_no_path(self, monkeypatch):
         # The pass/fail decision walks no tree path; only failing edges do.
