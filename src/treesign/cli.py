@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_TREE_CAP,
         help="exit 2 on a graph with more spanning trees; the check keeps about "
-        "90 bytes per tree (default %(default)s)",
+        "87 bytes per tree (default %(default)s)",
     )
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -6,13 +6,18 @@ the potential-maximal trees and every exchange-local-maximal tree must
 have all fundamental paths monotone, and the solver's output must verify.
 Any failed check is serialized as a witness; none is expected to exist.
 
-One pass over the enumeration maps each tree's edge mask to its potential.
-Every exchange neighbour of a tree is an enumerated tree, so an exchange is
-priced by lookup: a mask with one cotree bit added and one tree bit dropped
-is a spanning tree iff it is in the table, which the Kirchhoff count shows
-complete. No tree is re-rooted to price an exchange, and no exchange is
-priced by the ascent's closed form. The table costs O(trees) memory, about
-87 bytes per tree: K_8's 262,144 trees peak at 22.8 MB traced.
+The backtracker (_parent_maps) builds each tree's edge mask one bit per
+parent choice, and takes its depths once the map is complete. The table
+pass reads the parent list, mask and depths straight from it, with no
+RootedTree in between, and maps each mask to its potential.
+enumerate_spanning_trees wraps the same backtracker for every other
+caller. Every exchange neighbour of a tree is an enumerated tree, so an
+exchange is priced by lookup: a mask with one cotree bit added and one
+tree bit dropped is a spanning tree iff it is in the table, which the
+Kirchhoff count shows complete. No tree is re-rooted to price an
+exchange, and no exchange is priced by the ascent's closed form. The
+table costs O(trees) memory, about 87 bytes per tree: K_8's 262,144 trees
+peak at 22.8 MB traced.
 """
 
 from __future__ import annotations
@@ -36,6 +41,22 @@ def enumerate_spanning_trees(
 ) -> Iterator[RootedTree]:
     """Yield every spanning tree of ``g`` exactly once, rooted at ``root``.
 
+    Each tree is a parent map of the backtracking search described in
+    _parent_maps, with its depths. A disconnected graph raises
+    require_connected's error, and the root is checked. Intended for small
+    graphs; raises EnumerationLimitError past ``max_trees`` trees.
+    """
+    for parent, _, depth in _parent_maps(g, root, max_trees):
+        yield RootedTree(g, root, tuple(parent), tuple(depth))
+
+
+def _parent_maps(
+    g: Graph, root: Vertex, max_trees: int
+) -> Iterator[tuple[list[Vertex | None], int, list[int]]]:
+    """Every spanning tree of ``g`` rooted at ``root``, once each, as its
+    parent list (one list, reused), its edge mask (_edge_bits) and its
+    depth list.
+
     Backtracks over parent maps: each non-root vertex takes each of its
     neighbours in ``g.adjacency`` order as its parent, unless that
     neighbour's parent chain, followed through the vertices already
@@ -47,18 +68,27 @@ def enumerate_spanning_trees(
     search parent, a neighbour that is the root or comes later. That
     neighbour's chain ends at itself when the vertex picks, so it is always
     a valid choice: every partial map completes to a tree, and the search
-    does work polynomial in n per tree yielded. Depths are taken by
-    chasing parents. The backtracking state is a list of next-choice
-    indices, one per non-root vertex, not the call stack, so its depth is
-    not bounded by Python's recursion limit. The breadth-first search is
-    bfs_tree's (trees._connected_search), which refuses a disconnected
-    graph and checks the root. Intended for small graphs; raises
-    EnumerationLimitError past ``max_trees`` trees.
+    does work polynomial in n per tree yielded. The mask grows with the
+    map: masks[k] holds the bits of the first k choices, so a complete
+    map's mask costs nothing more. Depths are taken by chasing each parent
+    chain up to the first vertex whose depth is known. The backtracking
+    state is a list of next-choice indices, one per non-root vertex, not
+    the call stack, so its depth is not bounded by Python's recursion
+    limit. The breadth-first search is bfs_tree's
+    (trees._connected_search), which refuses a disconnected graph and
+    checks the root. Raises EnumerationLimitError past ``max_trees`` trees.
     """
-    order = _connected_search(g, root)[0][:0:-1]
+    visit = _connected_search(g, root)[0]
+    order = visit[:0:-1]
     adjacency = g.adjacency
+    bit_of: dict[Edge, int] = {}
+    for (u, v), bit in _edge_bits(g):
+        bit_of[u, v] = bit_of[v, u] = bit
+    # bits[k][i]: the mask bit of the edge from order[k] to its i-th neighbour.
+    bits = [[bit_of[v, w] for w in adjacency[v]] for v in order]
     last = len(order)
     parent: list[Vertex | None] = [None] * g.n
+    masks = [0] * (last + 1)
     # nxt[k]: index in adjacency[order[k]] of the next parent to try.
     nxt = [0] * last
     yielded = 0
@@ -70,7 +100,20 @@ def enumerate_spanning_trees(
                 raise EnumerationLimitError(
                     f"more than {max_trees} spanning trees; raise --max-trees to enumerate"
                 )
-            yield RootedTree(g, root, tuple(parent), _depths(parent, order, root))
+            depth = [-1] * g.n
+            depth[root] = 0
+            for v in visit:
+                if depth[v] < 0:
+                    chain = []
+                    x = v
+                    while depth[x] < 0:
+                        chain.append(x)
+                        x = parent[x]
+                    d = depth[x]
+                    for y in reversed(chain):
+                        d += 1
+                        depth[y] = d
+            yield parent, masks[last], depth
             k -= 1
             continue
         v = order[k]
@@ -85,31 +128,13 @@ def enumerate_spanning_trees(
                 x = parent[x]
             if x != v:
                 parent[v] = w
+                masks[k + 1] = masks[k] | bits[k][i - 1]
                 nxt[k] = i
                 k += 1
                 break
         else:
             nxt[k] = 0
             k -= 1
-
-
-def _depths(parent: list[Vertex | None], order: list[Vertex], root: Vertex) -> tuple[int, ...]:
-    """Depth of every vertex of a complete parent map, each chain chased
-    up to the first vertex whose depth is known."""
-    depth = [-1] * len(parent)
-    depth[root] = 0
-    for v in order:
-        if depth[v] < 0:
-            chain = []
-            x = v
-            while depth[x] < 0:
-                chain.append(x)
-                x = parent[x]
-            d = depth[x]
-            for y in reversed(chain):
-                d += 1
-                depth[y] = d
-    return tuple(depth)
 
 
 def _integer_determinant(a: list[list[int]]) -> int:
@@ -169,33 +194,29 @@ def _edge_bits(g: Graph) -> list[tuple[Edge, int]]:
     """Each edge of ``g`` with its bit in an edge mask: g.edges[i] is bit
     m - 1 - i, so among edge sets of one size the larger mask is the
     lexicographically smaller sorted edge tuple."""
-    return [(e, 1 << (g.m - 1 - i)) for i, e in enumerate(g.edges)]
+    top = g.m - 1
+    return [(e, 1 << (top - i)) for i, e in enumerate(g.edges)]
 
 
 def _potential_table(
     g: Graph, root: Vertex, max_trees: int
 ) -> tuple[dict[int, int], int, list[int]]:
-    """One pass over enumerate_spanning_trees: every tree's potential keyed
-    by its edge mask, the number of trees yielded, and the masks of the
-    non-monotone trees in enumeration order. The count is kept apart from
-    the table's size, so a tree yielded twice still breaks the Kirchhoff
-    check."""
+    """One pass over _parent_maps: every tree's potential keyed by its edge
+    mask, the number of trees yielded, and the masks of the non-monotone
+    trees in enumeration order. A tree is non-monotone when some cotree
+    edge joins two vertices neither of which is an ancestor of the other.
+    The count is kept apart from the table's size, so a tree yielded twice
+    still breaks the Kirchhoff check."""
     edge_bits = _edge_bits(g)
     table: dict[int, int] = {}
     count = 0
     non_monotone: list[int] = []
-    for count, t in enumerate(enumerate_spanning_trees(g, root, max_trees), 1):
-        parent, depth = t.parent, t.depth
-        mask = 0
-        monotone = True
-        for (u, v), bit in edge_bits:
-            if parent[u] == v or parent[v] == u:
-                mask |= bit
-            elif monotone:
-                monotone = ancestor_related(parent, depth, u, v)
+    for count, (parent, mask, depth) in enumerate(_parent_maps(g, root, max_trees), 1):
         table[mask] = sum(depth)
-        if not monotone:
-            non_monotone.append(mask)
+        for (u, v), bit in edge_bits:
+            if not mask & bit and not ancestor_related(parent, depth, u, v):
+                non_monotone.append(mask)
+                break
     return table, count, non_monotone
 
 
@@ -207,15 +228,20 @@ def _maximum(table: dict[int, int]) -> tuple[int, int, int]:
     return max(ties), best_psi, len(ties)
 
 
-def _improvable(table: dict[int, int], mask: int, m: int) -> bool:
+def _improvable(table: dict[int, int], mask: int, bits: list[int]) -> bool:
     """Does some exchange strictly raise the potential of the tree with edge
-    mask ``mask``? Adding a cotree edge and dropping a tree edge gives a
-    spanning tree iff the dropped edge is on the added edge's fundamental
-    path; the table holds every spanning tree, so a miss is no exchange."""
+    mask ``mask``? ``bits`` holds every edge's bit. Adding a cotree edge
+    and dropping a tree edge gives a spanning tree iff the dropped edge is
+    on the added edge's fundamental path; the table holds every spanning
+    tree, so a miss is no exchange."""
     psi = table[mask]
-    bits = [1 << i for i in range(m)]
-    tree = [b for b in bits if mask & b]
-    return any(table.get((mask | c) ^ b, -1) > psi for c in bits if not mask & c for b in tree)
+    for c in bits:
+        if not mask & c:
+            added = mask | c
+            for b in bits:
+                if mask & b and table.get(added ^ b, -1) > psi:
+                    return True
+    return False
 
 
 def _tree_of(g: Graph, root: Vertex, mask: int) -> RootedTree:
@@ -301,7 +327,8 @@ def exhaustive_check(
     best_mask, best_psi, max_count = _maximum(table)
     kirchhoff = count_spanning_trees(g)
     witness: dict | None = None
-    local_max = next((k for k in non_monotone if not _improvable(table, k, g.m)), None)
+    bits = [1 << i for i in range(g.m)]
+    local_max = next((k for k in non_monotone if not _improvable(table, k, bits)), None)
     all_local_maxima_conform = local_max is None
     if local_max is not None:
         witness = _tree_witness(

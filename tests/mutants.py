@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PINNED = "tests/test_solver.py::TestMonotoneSpanningTree::test_move_traces_are_pinned"
 CORRUPT = "tests/test_solver.py::TestValleyClimb::test_one_corrupt_depth_on_the_path_is_refused"
 NO_WALK = "tests/test_solver.py::TestVerifyAlternating::test_passing_edges_walk_no_path"
+NON_MONOTONE = "tests/test_oracle.py::TestNonMonotoneList::test_matches_the_valley_rule_at_every_root"
 EXIT_3 = [
     "tests/test_cli.py::TestVerify::test_disconnected_graph_exits_3",
     "tests/test_cli.py::TestSolve::test_disconnected_exits_3_whatever_the_root",
@@ -84,10 +85,20 @@ MUTANTS = [
     # The edge-mask bits run backwards, so the tie-break among maximisers flips.
     (
         "src/treesign/oracle.py",
-        "1 << (g.m - 1 - i)",
+        "1 << (top - i)",
         "1 << i",
         ["tests/test_oracle.py::TestMaxPotentialTree::test_triangle"],
     ),
+    # The backtracker does not extend the edge mask: every tree keys mask 0.
+    (
+        "src/treesign/oracle.py",
+        "masks[k + 1] = masks[k] | bits[k][i - 1]",
+        "masks[k + 1] = masks[k]",
+        [NON_MONOTONE, "tests/test_oracle.py::TestMaxPotentialTree::test_triangle"],
+    ),
+    # The monotone test reads tree edges, which are always monotone, so no
+    # tree is listed as non-monotone.
+    ("src/treesign/oracle.py", "if not mask & bit and", "if mask & bit and", [NON_MONOTONE]),
     # The enumerator may yield more trees than Kirchhoff counts.
     (
         "src/treesign/oracle.py",
@@ -111,6 +122,51 @@ MUTANTS = [
     ),
     # A disconnected graph exits 2, not its documented 3.
     ("src/treesign/cli.py", "        return EXIT_DISCONNECTED", "        return EXIT_BAD_INPUT", EXIT_3),
+    # A failed verification exits 0, not its documented 1.
+    (
+        "src/treesign/cli.py",
+        "    return EXIT_VERIFY_FAILED",
+        "    return EXIT_OK",
+        ["tests/test_cli.py::TestCanonicalJson::test_verify_output_is_pinned"],
+    ),
+    # Malformed input exits 4, not its documented 2.
+    (
+        "src/treesign/cli.py",
+        "        return EXIT_BAD_INPUT",
+        "        return EXIT_INTERNAL",
+        ["tests/test_cli.py::TestSolve::test_malformed_input"],
+    ),
+    # solve exits 0 after its own labeling failed verification, not 4.
+    (
+        "src/treesign/cli.py",
+        "        return EXIT_INTERNAL\n    return EXIT_OK",
+        "        return EXIT_OK\n    return EXIT_OK",
+        [
+            "tests/test_cli.py::TestSolveReport::test_failed_verification",
+            "tests/test_cli.py::TestInternalFailure::test_solve_writes_the_report_and_exits_4",
+        ],
+    ),
+    # An internal AssertionError exits 2, not its documented 4.
+    (
+        "src/treesign/cli.py",
+        "        return EXIT_INTERNAL\n    finally:",
+        "        return EXIT_BAD_INPUT\n    finally:",
+        ["tests/test_cli.py::TestInternalFailure::test_bench_exits_4"],
+    ),
+    # An oracle run with a failing graph exits 0, not its documented 5.
+    (
+        "src/treesign/cli.py",
+        "        return EXIT_FALSIFIED\n    return EXIT_OK",
+        "        return EXIT_OK\n    return EXIT_OK",
+        ["tests/test_cli.py::TestInternalFailure::test_oracle_exits_5_and_writes_the_witness"],
+    ),
+    # A solve with no improving exchange exits 2, not its documented 5.
+    (
+        "src/treesign/cli.py",
+        "        return EXIT_FALSIFIED\n    except",
+        "        return EXIT_BAD_INPUT\n    except",
+        ["tests/test_cli.py::TestSolve::test_no_improving_swap_exits_5"],
+    ),
 ]
 # Not listed, because it is equivalent: the verifier's "end[v] = i + 1" ->
 # "end[v] = i" gives v the number of its first child, which only makes v

@@ -777,16 +777,17 @@ class TestOracle:
 
     def test_small_sizes_digest(self, capsys):
         # sha256 of the JSONL for every connected graph on 2 to 4 and on 2 to
-        # 5 vertices; it does not depend on the order in which trees are
-        # enumerated
-        for sizes, lines, digest in [
-            ("2..4", 43, "aab7485e4c7c9dcc9f18d12bfe681f62b3f0eee99c00b67d142b306db9f3cdb6"),
-            ("2..5", 771, "b79c31c0a87b2d811b6025391b03ad34706fdd9732e25fe330ba83febce9d6f3"),
+        # 5 vertices, at root 0 and (for 2 to 5) at root 1; it does not
+        # depend on the order in which trees are enumerated
+        for sizes, root, lines, digest in [
+            ("2..4", "0", 43, "aab7485e4c7c9dcc9f18d12bfe681f62b3f0eee99c00b67d142b306db9f3cdb6"),
+            ("2..5", "0", 771, "b79c31c0a87b2d811b6025391b03ad34706fdd9732e25fe330ba83febce9d6f3"),
+            ("2..5", "1", 771, "ea4ad965d656b780df9388cf5085f5be85869a6c6f40a01db29be93982c7ced5"),
         ]:
-            assert main(["oracle", "--n", sizes, "--root", "0"]) == 0
+            assert main(["oracle", "--n", sizes, "--root", root]) == 0
             out = capsys.readouterr().out
-            assert len(out.splitlines()) == lines, sizes
-            assert hashlib.sha256(out.encode()).hexdigest() == digest, sizes
+            assert len(out.splitlines()) == lines, (sizes, root)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (sizes, root)
 
 
 class TestBench:

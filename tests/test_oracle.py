@@ -353,7 +353,7 @@ def table_verdicts(g, root):
     for t in enumerate_spanning_trees(g, root):
         edges = tree_edges(t)
         mask = sum(bit for e, bit in _edge_bits(g) if e in edges)
-        yield t, _improvable(table, mask, g.m)
+        yield t, _improvable(table, mask, [1 << i for i in range(g.m)])
 
 
 class TestAdmitsImprovingSwap:
@@ -401,20 +401,25 @@ class TestAdmitsImprovingSwap:
 class TestNonMonotoneList:
     def test_matches_the_valley_rule_at_every_root(self):
         """The table pass lists, in enumeration order, exactly the trees
-        with a cotree path whose valley index is not an end."""
+        with a cotree path whose valley index is not an end, and its table
+        maps each enumerated tree's edge mask to the tree's potential."""
         pairs = trees_seen = non_monotone = 0
         for n in range(1, 6):
             for g in enumerate_connected_graphs(n):
                 edge_bits = _edge_bits(g)
                 for root in range(n):
                     expected = []
+                    potentials = {}
                     for t in enumerate_spanning_trees(g, root):
+                        edges = tree_edges(t)
+                        mask = sum(bit for e, bit in edge_bits if e in edges)
+                        potentials[mask] = potential(t)
                         paths = [fundamental_path(t, e) for e in cotree_edges(t)]
                         if any(0 < valley_index(t.depth, p) < len(p) - 1 for p in paths):
-                            edges = tree_edges(t)
-                            expected.append(sum(bit for e, bit in edge_bits if e in edges))
+                            expected.append(mask)
                         trees_seen += 1
-                    _, _, listed = _potential_table(g, root, oracle.DEFAULT_TREE_CAP)
+                    table, _, listed = _potential_table(g, root, oracle.DEFAULT_TREE_CAP)
+                    assert table == potentials, (g.edges, root)
                     assert listed == expected, (g.edges, root)
                     pairs += 1
                     non_monotone += len(expected)
@@ -458,16 +463,17 @@ class TestOneTieBreak:
 
 class TestFailuresTheTableMustNotHide:
     def test_a_tree_yielded_twice_breaks_the_count(self, monkeypatch):
-        enumerate_once = oracle.enumerate_spanning_trees
+        # The table pass reads the backtracker's parent maps directly.
+        maps_once = oracle._parent_maps
 
         def first_tree_twice(g, root, max_trees):
-            yielded = enumerate_once(g, root, max_trees)
+            yielded = maps_once(g, root, max_trees)
             first = next(yielded)
             yield first
             yield first
             yield from yielded
 
-        monkeypatch.setattr(oracle, "enumerate_spanning_trees", first_tree_twice)
+        monkeypatch.setattr(oracle, "_parent_maps", first_tree_twice)
         report = exhaustive_check(K4, 0)
         assert report.tree_count == report.kirchhoff_count + 1 == 17
         assert not report.counts_agree and not report.ok
